@@ -31,7 +31,7 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, chi_through, entropy, relative_entropy
+from .entropy import Ensemble, _entropy_and_slope, chi_through, entropy, relative_entropy
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
     assert_density_operator,
@@ -79,8 +79,8 @@ class EnergyConstraint:
         if float(w.min()) < -1e-10:
             raise ValidationError(f"constraint operator not PSD: min eig {float(w.min()):.3e}")
         e = float(self.bound)
-        if e < 0.0:
-            raise ValidationError(f"constraint bound must be nonnegative, got {e}")
+        if not 0.0 <= e < math.inf:
+            raise ValidationError(f"constraint bound must be finite and nonnegative, got {e}")
         if float(w.min()) > e + 1e-12:
             raise ValidationError(
                 f"infeasible constraint: min eig F = {float(w.min()):.6g} exceeds bound {e}"
@@ -115,6 +115,8 @@ def constraint_tensor(constraint: EnergyConstraint, n: int) -> EnergyConstraint:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Optimizer settings; ``line_search_tol`` is the tolerance on the step t in [0, 1]."""
+
     max_iterations: int = 300
     gap_tolerance: float = 1e-5
     restarts: int = 1
@@ -253,23 +255,49 @@ def _mi_gradient(channel: KrausChannel, rho_eps) -> np.ndarray:
     return 0.5 * (grad + grad.conj().T)
 
 
-def _golden_section_max(fun, tol):
-    """Golden-section search for the maximum of fun over [0, 1]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+def _mi_segment(channel: KrausChannel, base, direction):
+    """``t -> (f(t), f'(t))`` for the mutual information f along ``base + t * direction``.
+
+    The input, output and environment states are affine in t, so both ends are
+    mapped once and a point costs three eigendecompositions.
+    """
+    ends = [0.5 * (x + x.conj().T) for x in (base, direction)]
+    ends = [(x, apply(channel, x), environment_output(channel, x)) for x in ends]
+
+    def point(t):
+        (s0, g0), (s1, g1), (s2, g2) = (_entropy_and_slope(b + t * d, d) for b, d in zip(*ends))
+        return s0 + s1 - s2, g0 + g1 - g2
+
+    return point
+
+
+def _segment_max(point, tol):
+    """Best ``(t, f(t))`` evaluated on [0, 1] for a concave f, ``point(t) = (f(t), f'(t))``.
+
+    Illinois regula falsi on the slope until the bracket is within ``tol``; each
+    step stays ``tol / 2`` inside it, and bisects when three steps did not halve it.
+    """
+    f0, s0 = point(0.0)
+    if s0 <= 0.0:
+        return 0.0, f0
+    f1, s1 = point(1.0)
+    if s1 >= 0.0:
+        return 1.0, f1
+    best, a, sa, b, sb = max((f0, 0.0), (f1, 1.0)), 0.0, s0, 1.0, s1
+    side, widths = 0, []
+    while b - a > tol and sb != 0.0:  # sb == 0: a step hit the root exactly
+        bisect = len(widths) >= 3 and b - a > 0.5 * widths[-3]
+        t = 0.5 * (a + b) if bisect else (a * sb - b * sa) / (sb - sa)
+        t = min(max(t, a + 0.5 * tol), b - 0.5 * tol)
+        widths.append(b - a)
+        ft, st = point(t)
+        best = max(best, (ft, t))
+        if st > 0.0:  # Illinois: halve the slope of an end kept twice running
+            a, sa, sb = t, st, sb * (0.5 if side > 0 else 1.0)
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
+            b, sb, sa = t, st, sa * (0.5 if side < 0 else 1.0)
+        side = 1 if st > 0.0 else -1
+    return best[1], best[0]
 
 
 def _feasible_from(rho, constraint: EnergyConstraint) -> np.ndarray:
@@ -298,7 +326,9 @@ def _frank_wolfe(channel, constraint, rho0, opts: OptimizerOptions, polish_steps
     feasible, so every iterate is feasible).  After the classic step toward
     the new atom, mass is shuttled between existing atoms along the gradient,
     which removes the zigzag stall of the plain method while leaving the
-    duality-gap certificate untouched.  ``trace``, if a list, receives one
+    duality-gap certificate untouched.  Line searches map a segment's ends once
+    (:func:`_mi_segment`) and root-find the directional derivative ``Tr(grad f . Delta)``
+    (:func:`_segment_max`).  ``trace``, if a list, receives one
     ``(objective, energy)`` record per outer iteration.
     """
     d = channel.dim_in
@@ -312,15 +342,8 @@ def _frank_wolfe(channel, constraint, rho0, opts: OptimizerOptions, polish_steps
     iterations = 0
     stall = 0
 
-    def line_search(base, direction, span, tol=None):
-        if span <= 0.0:
-            return 0.0, mutual_information_value(channel, base)
-
-        def along(t):
-            mix = base + t * span * direction
-            return mutual_information_value(channel, 0.5 * (mix + mix.conj().T))
-
-        t, val = _golden_section_max(along, tol if tol is not None else opts.line_search_tol)
+    def line_search(base, direction, span, tol=opts.line_search_tol):
+        t, val = _segment_max(_mi_segment(channel, base, span * direction), tol)
         return t * span, val
 
     for k in range(opts.max_iterations):
@@ -676,11 +699,12 @@ def chi_at_state(
         else:
             stiefel = sample_isometry(rank, m, seed=opts.seed + restart)
         val, x = objective(stiefel)
-        step = 0.5
+        step, taken = 0.5, 0
         for _ in range(opts.max_iterations):
             g = gradient(stiefel, x)
             if float(np.abs(g).max()) < 1e-12:
                 break
+            taken += 1
             cand = stiefel - step * g
             q, r = np.linalg.qr(cand)
             diag = np.diagonal(r)
@@ -693,13 +717,10 @@ def chi_at_state(
                 step *= 0.5
                 if step < 1e-8:
                     break
-        return val, x
+        return val, x, taken
 
-    outcomes = []
-    for r in range(max(1, opts.restarts)):
-        val, x = run(r)
-        outcomes.append((val, r, x))
-    best_hull, _, x = min(outcomes, key=lambda o: (o[0], o[1]))
+    outcomes = [(*run(r), r) for r in range(max(1, opts.restarts))]
+    best_hull, x, _, _ = min(outcomes, key=lambda o: (o[0], o[3]))
 
     weights = np.array([float(np.vdot(row, row).real) for row in x])
     keep = weights > 1e-12
@@ -716,7 +737,7 @@ def chi_at_state(
         optimizer=mu,
         gap=None,
         heuristic=True,
-        iterations=opts.max_iterations * max(1, opts.restarts),
+        iterations=sum(o[2] for o in outcomes),
         wall_time=time.perf_counter() - t0,
         converged=True,
     )

@@ -77,7 +77,7 @@ class QuantumOperation:
         g = self.kraus_gram()
         slack = np.eye(self.dim_in) - g
         w_min = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min())
-        if w_min < -CHANNEL_TOL:
+        if not w_min >= -CHANNEL_TOL:
             raise ValidationError(
                 f"operation increases trace: min eig(I - sum K†K) = {w_min:.3e}"
             )
@@ -112,7 +112,7 @@ class KrausChannel(QuantumOperation):
     def _check_normalization(self):
         g = self.kraus_gram()
         dev = float(np.abs(g - np.eye(self.dim_in)).max())
-        if dev > CHANNEL_TOL:
+        if not dev <= CHANNEL_TOL:
             raise ValidationError(
                 f"Kraus family is not trace preserving: |sum K†K - I| = {dev:.3e}"
             )
@@ -130,7 +130,7 @@ class StinespringDilation:
         object.__setattr__(self, "isometry", v)
         g = v.conj().T @ v
         dev = float(np.abs(g - np.eye(v.shape[1])).max())
-        if dev > CHANNEL_TOL:
+        if not dev <= CHANNEL_TOL:
             raise ValidationError(f"dilation is not isometric: |V†V - I| = {dev:.3e}")
 
 

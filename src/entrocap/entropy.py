@@ -56,35 +56,44 @@ SUPPORT_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 
 
-def _clipped_spectrum(a, name: str = "operator") -> np.ndarray:
+def _clipped_spectrum(a, name: str = "operator", vectors: bool = False):
+    """Checked spectrum of a PSD operator clipped at zero, and its eigenvectors if ``vectors``."""
     m = assert_hermitian(a, name=name)
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if w.size and float(w.min()) < -PSD_TOL:
+    m = 0.5 * (m + m.conj().T)
+    w, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if w.size and not float(w.min()) >= -PSD_TOL:
         raise ValidationError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
-    return np.clip(w, 0.0, None)
+    w = np.clip(w, 0.0, None)
+    return (w, u) if vectors else w
 
 
-def raw_entropy(a) -> float:
-    """Plain ``-Tr A log2 A`` for a PSD operator with trace at most one."""
-    w = _clipped_spectrum(a)
-    if float(w.sum()) > 1.0 + 1e-10:
-        raise ValidationError(f"trace {float(w.sum())!r} exceeds 1")
-    nz = w[w > 0.0]
-    if nz.size == 0:
-        return 0.0
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def entropy(a) -> float:
-    """Trace-homogeneous entropy; the von Neumann entropy on unit-trace states."""
-    w = _clipped_spectrum(a)
+def _spectrum_entropy(w, homogeneous: bool = True) -> float:
+    """``-sum w log2 w`` of a clipped spectrum of trace t <= 1, plus ``t log2 t`` if ``homogeneous``."""
     t = float(w.sum())
     if t > 1.0 + 1e-10:
         raise ValidationError(f"trace {t!r} exceeds 1")
     nz = w[w > 0.0]
     if nz.size == 0 or t <= 0.0:
         return 0.0
-    return float(-(nz * np.log2(nz)).sum() + t * math.log2(t))
+    raw = float(-(nz * np.log2(nz)).sum())
+    return raw + t * math.log2(t) if homogeneous else raw
+
+
+def _entropy_and_slope(m, d):
+    """:func:`entropy` of ``m`` and its derivative ``-Tr(d log2 m)`` along a traceless ``d``."""
+    w, u = _clipped_spectrum(m, vectors=True)
+    d_diag = np.einsum("ij,ij->j", u.conj(), d @ u).real
+    return _spectrum_entropy(w), -float(np.log2(np.maximum(w, _LOG_FLOOR)) @ d_diag)
+
+
+def raw_entropy(a) -> float:
+    """Plain ``-Tr A log2 A`` for a PSD operator with trace at most one."""
+    return _spectrum_entropy(_clipped_spectrum(a), homogeneous=False)
+
+
+def entropy(a) -> float:
+    """Trace-homogeneous entropy; the von Neumann entropy on unit-trace states."""
+    return _spectrum_entropy(_clipped_spectrum(a))
 
 
 def relative_entropy(a, b, support_tol: float = SUPPORT_TOL, leak_tol: float | None = None) -> float:

@@ -116,7 +116,7 @@ def assert_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> n
     """Validate Hermiticity within max-norm ``tol`` and return the array."""
     m = _as_matrix(a)
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # a NaN deviation fails too
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
     return m
 
@@ -130,13 +130,13 @@ def assert_density_operator(
     """Validate a density operator (Hermitian, PSD, unit or sub-unit trace)."""
     m = assert_hermitian(rho, name=name)
     eig_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()) if m.size else 0.0
-    if eig_min < -PSD_TOL:
+    if not eig_min >= -PSD_TOL:
         raise ValidationError(f"{name} is not PSD: min eigenvalue {eig_min:.3e}")
     tr = float(np.trace(m).real)
     if unit_trace:
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise ValidationError(f"{name} trace {tr!r} deviates from 1 beyond {tol:.1e}")
-    elif tr > 1.0 + tol:
+    elif not tr <= 1.0 + tol:
         raise ValidationError(f"{name} trace {tr!r} exceeds 1 beyond {tol:.1e}")
     return m
 

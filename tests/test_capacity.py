@@ -21,8 +21,10 @@ from entrocap import (
     depolarizing_channel,
     entropy,
     feasible_linear_max,
+    fock_attenuator,
     identity_channel,
     mutual_information,
+    number_operator,
     replacement_channel,
     sample_channel,
     sample_hermitian,
@@ -195,6 +197,82 @@ class TestCeaCapacity:
         with pytest.raises(ValidationError):
             cea_capacity(identity_channel(3), EnergyConstraint(QUBIT_F, 0.5))
 
+    def test_fock_attenuator_contains_closed_form(self):
+        # g(E) + g(eta E) - g((1 - eta) E), with g the thermal-state entropy
+        def g(x):
+            return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+
+        closed_form = g(1.0) + g(0.6) - g(0.4)
+        assert abs(closed_form - 2.3187256) <= 1e-7
+        res = cea_capacity(fock_attenuator(0.6, 20), EnergyConstraint(number_operator(20), 1.0))
+        assert res.converged
+        assert res.value <= closed_form <= res.value + res.gap
+
+
+class TestLineSearch:
+    """The Frank-Wolfe line search: affine channel images and a root-find on the slope."""
+
+    CHANNEL = sample_channel(3, 3, 2, seed=40)
+    FULL_RANK = sample_state(3, seed=41)
+    PURE = sample_state(3, rank=1, seed=42)
+
+    def test_segment_matches_mutual_information(self):
+        from entrocap.capacity import _mi_segment, mutual_information_value
+
+        base, direction = self.FULL_RANK, self.PURE - self.FULL_RANK
+        point = _mi_segment(self.CHANNEL, base, direction)
+        for t in (0.0, 0.37, 1.0):
+            exact = mutual_information_value(self.CHANNEL, base + t * direction)
+            assert abs(point(t)[0] - exact) <= 1e-12
+        h = 1e-6
+        numeric = (point(0.37 + h)[0] - point(0.37 - h)[0]) / (2 * h)
+        assert abs(point(0.37)[1] - numeric) <= 1e-6
+
+    def _search(self, base, end):
+        from entrocap.capacity import _mi_segment, _segment_max, mutual_information_value
+
+        direction = end - base
+        t, value = _segment_max(_mi_segment(self.CHANNEL, base, direction), 1e-10)
+        assert abs(value - mutual_information_value(self.CHANNEL, base + t * direction)) <= 1e-12
+        grid = max(
+            mutual_information_value(self.CHANNEL, base + s * direction)
+            for s in np.linspace(0.0, 1.0, 201)
+        )
+        assert value >= grid - 1e-10
+        return t
+
+    def _interior_maximizer(self):
+        t = self._search(self.FULL_RANK, self.PURE)
+        assert 0.05 < t < 0.95
+        return self.FULL_RANK + t * (self.PURE - self.FULL_RANK)
+
+    def test_interior_maximum(self):
+        self._interior_maximizer()
+
+    def test_maximum_at_start(self):
+        peak = self._interior_maximizer()
+        past_peak = peak + 0.05 * (self.PURE - self.FULL_RANK)
+        assert self._search(past_peak, self.PURE) == 0.0
+
+    def test_maximum_at_end(self):
+        peak = self._interior_maximizer()
+        past_peak = peak + 0.05 * (self.PURE - self.FULL_RANK)
+        assert self._search(self.PURE, past_peak) == 1.0
+
+    def test_rank_deficient_base(self):
+        from entrocap.capacity import _mi_segment
+
+        # the input entropy's slope diverges at t = 0 (finite only through the log floor)
+        assert _mi_segment(self.CHANNEL, self.PURE, self.FULL_RANK - self.PURE)(0.0)[1] > 100.0
+        t = self._search(self.PURE, self.FULL_RANK)
+        assert 0.0 < t < 1.0
+
+    def test_quadratic(self):
+        from entrocap.capacity import _segment_max
+
+        t, value = _segment_max(lambda s: (-((s - 0.3) ** 2), -2.0 * (s - 0.3)), 1e-10)
+        assert abs(t - 0.3) <= 1e-10 and value >= -1e-20
+
 
 class TestGradientAudits:
     def test_ascent_gradient_matches_finite_differences(self):
@@ -289,6 +367,11 @@ class TestChiAtState:
     def test_member_count_validation(self):
         with pytest.raises(ValidationError):
             chi_at_state(identity_channel(2), np.eye(2) / 2, members=1)
+
+    def test_iterations_count_steps_taken(self):
+        # the gradient vanishes at once, so no restart takes a step
+        res = chi_at_state(identity_channel(2), np.eye(2) / 2)
+        assert res.iterations < 3 * 160
 
     def test_decomposition_reconstructs_average(self):
         rho = sample_state(3, rank=2, seed=11)

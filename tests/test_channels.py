@@ -63,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             QuantumOperation((np.diag([1.0, 1.5]),))
 
+    @pytest.mark.parametrize("cls", [KrausChannel, QuantumOperation])
+    def test_nan_entry_rejected(self, cls):
+        with pytest.raises(ValidationError):
+            cls((np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+
 
 class TestApply:
     def test_identity(self):

@@ -145,6 +145,14 @@ class TestCliCommands:
         assert main(["validate", path]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_exit_code_non_finite_bound(self, tmp_path, capsys, bound):
+        with open(f"{SPECS}/identity_qubit.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["constraint"]["E"] = bound  # json writes NaN / Infinity
+        assert main(["cea", write_spec(tmp_path, doc)]) == 3
+        assert "invariant violation" in capsys.readouterr().err
+
     def test_missing_command_spec(self):
         with pytest.raises(SpecFileError):
             run("cea", None, {})
