@@ -115,8 +115,11 @@ def _coerce_layout(layout) -> CompositeLayout:
 def assert_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within max-norm ``tol`` and return the array."""
     m = _as_matrix(a)
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf deviations fail below
+        dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if not dev <= tol:  # a NaN deviation fails too
+        if not np.isfinite(m).all():
+            raise ValidationError(f"{name} contains non-finite entries")
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
     return m
 

@@ -21,6 +21,7 @@ raises :class:`ValidationError` (exit code 3).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,18 @@ def encode_complex_matrix(mat) -> list:
     return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
+def _number(obj, where: str, integer: bool = False):
+    """A JSON number as a float, or as an int when ``integer``; else a SpecFileError."""
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise SpecFileError(f"expected a number, got {obj!r}", where)
+    if integer and not (isinstance(obj, numbers.Integral) or float(obj).is_integer()):
+        raise SpecFileError(f"expected an integer, got {obj!r}", where)
+    try:
+        return int(obj) if integer else float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SpecFileError(f"number out of range: {obj!r}", where) from None
+
+
 def _decode_real(obj, where: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -115,21 +128,25 @@ def _build_named(payload: dict) -> KrausChannel:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise SpecFileError("'params' must be an object", "payload.params")
+
+    def param(key, default, integer=False):
+        return _number(params.get(key, default), f"payload.params.{key}", integer)
+
     if name == "identity":
-        return identity_channel(int(params.get("dim", 2)))
+        return identity_channel(param("dim", 2, integer=True))
     if name == "dephasing":
-        return dephasing_channel(int(params.get("dim", 2)))
+        return dephasing_channel(param("dim", 2, integer=True))
     if name == "depolarizing":
-        return depolarizing_channel(float(params.get("p", 0.5)), int(params.get("dim", 2)))
+        return depolarizing_channel(param("p", 0.5), param("dim", 2, integer=True))
     if name == "replacement":
         if "target" not in params:
             raise SpecFileError("replacement needs a 'target' state", "payload.params.target")
         target = decode_complex_matrix(params["target"], "payload.params.target")
-        return replacement_channel(target, int(params.get("dim", target.shape[0])))
+        return replacement_channel(target, param("dim", target.shape[0], integer=True))
     if name == "attenuator":
         if "eta" not in params or "cutoff" not in params:
             raise SpecFileError("attenuator needs 'eta' and 'cutoff'", "payload.params")
-        return fock_attenuator(float(params["eta"]), int(params["cutoff"]))
+        return fock_attenuator(param("eta", None), param("cutoff", None, integer=True))
     raise SpecFileError(f"unknown builtin channel {name!r}", "payload.name")
 
 
@@ -167,8 +184,8 @@ def parse_spec(doc: dict) -> ChannelSpec:
         for key in ("K", "l", "alpha", "modes_in", "modes_out"):
             if key not in payload:
                 raise SpecFileError(f"gaussian payload needs '{key}'", f"payload.{key}")
-        space_in = SymplecticSpace.standard(int(payload["modes_in"]))
-        space_out = SymplecticSpace.standard(int(payload["modes_out"]))
+        space_in = SymplecticSpace.standard(_number(payload["modes_in"], "payload.modes_in", True))
+        space_out = SymplecticSpace.standard(_number(payload["modes_out"], "payload.modes_out", True))
         gaussian = GaussianChannelParams(
             _decode_real(payload["K"], "payload.K", 2),
             _decode_real(payload["l"], "payload.l", 1),
@@ -193,7 +210,7 @@ def parse_spec(doc: dict) -> ChannelSpec:
             raise SpecFileError(f"unknown constraint operator {f_field!r}", "constraint.F")
         else:
             f_mat = decode_complex_matrix(f_field, "constraint.F")
-        constraint = EnergyConstraint(f_mat, float(raw_con["E"]))
+        constraint = EnergyConstraint(f_mat, _number(raw_con["E"], "constraint.E"))
         if channel is not None and constraint.dim != channel.dim_in:
             raise ValidationError("constraint dimension does not match channel input")
 

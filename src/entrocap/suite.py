@@ -258,7 +258,7 @@ def check_fw_feasible_ascent(seed=0):
     for _ in range(4):
         phi = _random_channel(rng, d_in=2, d_out=2)
         con = cap.EnergyConstraint(np.diag([0.0, 1.0]), 0.4)
-        records = cap.frank_wolfe_trace(phi, con, cap.OptimizerOptions(max_iterations=40))
+        records = cap.cea_capacity(phi, con, cap.OptimizerOptions(max_iterations=40)).trace
         for val, energy in records:
             if energy > con.bound + 1e-9:
                 return False, f"iterate energy {energy} exceeds bound"

@@ -170,7 +170,7 @@ def test_criterion_06_certified_depolarizing():
     assert res.gap <= 1e-4, f"gap {res.gap}"
     assert res.value - 1e-12 <= oracle <= res.value + res.gap + 1e-12
     assert abs(res.value - oracle) <= 1e-4
-    report(6, f"bracket [{res.value:.7f}, {res.value + res.gap:.7f}] contains oracle {oracle:.7f} (20 restarts)")
+    report(6, f"bracket [{res.value:.7f}, {res.value + res.gap:.7f}] contains oracle {oracle:.7f}")
 
 
 def test_criterion_07_discrete_cq_coincidence():

@@ -22,6 +22,7 @@ from entrocap import (
     entropy,
     feasible_linear_max,
     fock_attenuator,
+    hermitian_eig,
     identity_channel,
     mutual_information,
     number_operator,
@@ -30,9 +31,10 @@ from entrocap import (
     sample_hermitian,
     sample_state,
     tensor,
+    thermal_state,
     truncation_convergence,
 )
-from entrocap.capacity import frank_wolfe_trace
+from entrocap import capacity
 from entrocap.channels import apply
 
 QUBIT_F = np.diag([0.0, 1.0])
@@ -151,6 +153,25 @@ class TestFeasibleLinearMax:
             tr = float(np.trace(res.state).real)
             assert abs(tr - 1.0) <= 1e-9
 
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
+        n = 20
+        con = EnergyConstraint(number_operator(n), 1.0)
+        grad = capacity._mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
+        calls = []
+
+        def counting_eig(a, *args, **kwargs):
+            calls.append(a)
+            return hermitian_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "hermitian_eig", counting_eig)
+        res = feasible_linear_max(grad, con)
+        assert res.multiplier > 0.0
+        assert len(calls) <= 80
+        # the multiplier is one ulp tight: just below it the top eigenvector is infeasible
+        w, u = hermitian_eig(grad - np.nextafter(res.multiplier, 0.0) * con.operator)
+        _, energy = capacity._min_energy_vector(w, u, con.operator)
+        assert energy > con.bound
+
 
 class TestCeaCapacity:
     def test_identity_qubit_closed_form(self):
@@ -181,7 +202,11 @@ class TestCeaCapacity:
         con = EnergyConstraint(QUBIT_F, 0.4)
         for seed in range(4):
             chan = sample_channel(2, 2, 2, seed=seed)
-            records = frank_wolfe_trace(chan, con, OptimizerOptions(max_iterations=40))
+            res = cea_capacity(chan, con, OptimizerOptions(max_iterations=40))
+            records = res.trace
+            # one record per completed iteration; a run stopped by the gap test
+            # does not complete its last one
+            assert len(records) in (res.iterations - 1, res.iterations)
             assert all(energy <= con.bound + 1e-9 for _, energy in records)
             diffs = [records[k + 1][0] - records[k][0] for k in range(len(records) - 1)]
             assert all(d >= -1e-10 for d in diffs)
@@ -196,6 +221,16 @@ class TestCeaCapacity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             cea_capacity(identity_channel(3), EnergyConstraint(QUBIT_F, 0.5))
+
+    def test_single_start_ignores_restarts(self):
+        # the objective is concave, so the certified solver runs one start
+        chan = sample_channel(3, 3, 3, seed=7)
+        con = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 0.8)
+        one, three = (
+            cea_capacity(chan, con, OptimizerOptions(restarts=r, seed=5)) for r in (1, 3)
+        )
+        assert (one.value, one.gap, one.iterations) == (three.value, three.gap, three.iterations)
+        assert np.array_equal(one.optimizer, three.optimizer)
 
     def test_fock_attenuator_contains_closed_form(self):
         # g(E) + g(eta E) - g((1 - eta) E), with g the thermal-state entropy

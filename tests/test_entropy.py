@@ -74,7 +74,6 @@ class TestEntropy:
             entropy(np.diag([1.2, -0.2]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValidationError):
             entropy(np.array([[bad, 0.0], [0.0, 1.0]]))

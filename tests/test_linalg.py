@@ -37,8 +37,13 @@ class TestHermitianEig:
             assert abs(w.sum() - np.trace(h).real) <= 1e-9 * 4
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="max deviation"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_named(self, bad):
+        with pytest.raises(ValidationError, match="contains non-finite entries"):
+            hermitian_eig(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 class TestTensorPartialTrace:

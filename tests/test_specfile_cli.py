@@ -34,6 +34,20 @@ def kraus_doc(ops, constraint=None):
     return doc
 
 
+def doc_with_number(field, value):
+    """A valid spec document with one numeric field set to ``value``."""
+    if field in ("E", "modes_in", "modes_out"):
+        name = "identity_qubit" if field == "E" else "gaussian_attenuator"
+        with open(f"{SPECS}/{name}.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (doc["constraint"] if field == "E" else doc["payload"])[field] = value
+        return doc
+    name = {"dim": "identity", "p": "depolarizing", "eta": "attenuator", "cutoff": "attenuator"}[field]
+    params = {"eta": 0.5, "cutoff": 4} if name == "attenuator" else {}
+    params[field] = value
+    return {"schema_version": 1, "kind": "named", "payload": {"name": name, "params": params}}
+
+
 class TestEncoding:
     def test_roundtrip(self):
         mat = np.array([[1.0 + 2.0j, 0.0], [-1.5j, 0.25]])
@@ -152,6 +166,18 @@ class TestCliCommands:
         doc["constraint"]["E"] = bound  # json writes NaN / Infinity
         assert main(["cea", write_spec(tmp_path, doc)]) == 3
         assert "invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", [1], None])
+    @pytest.mark.parametrize("field", ["E", "dim", "p", "eta", "cutoff", "modes_in", "modes_out"])
+    def test_exit_code_non_numeric_field(self, tmp_path, capsys, field, value):
+        assert main(["validate", write_spec(tmp_path, doc_with_number(field, value))]) == 2
+        assert f"{field}: expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, integral", [("dim", 2.0), ("cutoff", 4.0), ("modes_in", 1.0)])
+    def test_integer_fields(self, tmp_path, capsys, field, integral):
+        assert main(["validate", write_spec(tmp_path, doc_with_number(field, 1.5))]) == 2
+        assert f"{field}: expected an integer" in capsys.readouterr().err
+        assert main(["validate", write_spec(tmp_path, doc_with_number(field, integral))]) == 0
 
     def test_missing_command_spec(self):
         with pytest.raises(SpecFileError):
