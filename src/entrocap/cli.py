@@ -38,7 +38,7 @@ from .gaussian import (
     thermal_state,
     validate_gaussian,
 )
-from .specfile import SCHEMA_VERSION, ChannelSpec, SpecFileError, load_spec
+from .specfile import SCHEMA_VERSION, ChannelSpec, SpecFileError, _number, load_spec
 from .suite import run_suite
 
 COMMANDS = (
@@ -55,22 +55,32 @@ COMMANDS = (
 )
 
 
-def _flag(flags: dict, spec: ChannelSpec | None, key: str, default):
-    """Flag value with file-level options as fallback defaults."""
+def _flag(flags: dict, spec: ChannelSpec | None, key: str, default, integer: bool = False):
+    """Numeric flag value with file-level options as checked fallback defaults."""
     if flags.get(key) is not None:
         return flags[key]
     if spec is not None and key in spec.options:
-        return spec.options[key]
+        return _number(spec.options[key], f"options.{key}", integer)
     return default
+
+
+def _ranks(flags: dict, spec: ChannelSpec, default: list) -> list:
+    """Truncation ranks from a list of integers or a comma string."""
+    raw = flags["ranks"] if flags.get("ranks") is not None else spec.options.get("ranks", default)
+    if isinstance(raw, str):
+        raw = [int(r) if r.strip().isdecimal() else r for r in raw.split(",") if r]
+    if not isinstance(raw, list):
+        raise SpecFileError(f"expected a list or a comma string, got {raw!r}", "options.ranks")
+    return [_number(r, f"options.ranks[{i}]", integer=True) for i, r in enumerate(raw)]
 
 
 def _optimizer_options(flags: dict, spec: ChannelSpec | None, restarts_default=1) -> OptimizerOptions:
     return OptimizerOptions(
-        max_iterations=int(_flag(flags, spec, "max_iterations", 300)),
-        gap_tolerance=float(_flag(flags, spec, "gap_tolerance", 1e-5)),
-        restarts=int(_flag(flags, spec, "restarts", restarts_default)),
-        seed=int(_flag(flags, spec, "seed", 0)),
-        epsilon=float(_flag(flags, spec, "epsilon", 1e-9)),
+        max_iterations=_flag(flags, spec, "max_iterations", 300, integer=True),
+        gap_tolerance=_flag(flags, spec, "gap_tolerance", 1e-5),
+        restarts=_flag(flags, spec, "restarts", restarts_default, integer=True),
+        seed=_flag(flags, spec, "seed", 0, integer=True),
+        epsilon=_flag(flags, spec, "epsilon", 1e-9),
     )
 
 
@@ -120,7 +130,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             raise SpecFileError(f"command {command!r} needs a spec file")
         spec = load_spec(spec_path)
 
-    seed = int(_flag(flags, spec, "seed", 0))
+    seed = _flag(flags, spec, "seed", 0, integer=True)
     results: dict = {}
     status = "ok"
     lines: list[str] = []
@@ -163,23 +173,26 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
 
     elif command == "mi":
         if spec.gaussian is not None:
-            mean_photons = float(_flag(flags, spec, "mean_photons", 1.0))
-            cutoff = int(_flag(flags, spec, "cutoff", 30))
+            mean_photons = _flag(flags, spec, "mean_photons", 1.0)
+            cutoff = _flag(flags, spec, "cutoff", 30, integer=True)
             oracle = gaussian_mi_oracle(spec.gaussian, thermal_gaussian_state(mean_photons))
             eta = float(spec.gaussian.K[0, 0] ** 2)
-            fock = mutual_information(
-                thermal_state(mean_photons, cutoff), fock_attenuator(eta, cutoff), route="entropies"
-            )
+            fock_state, fock_channel = thermal_state(mean_photons, cutoff), fock_attenuator(eta, cutoff)
+            fock = mutual_information(fock_state, fock_channel, route="entropies")
+            cross = mutual_information(fock_state, fock_channel)
             results = {
                 "oracle_bits": oracle,
                 "fock_bits": fock,
+                "fock_relative_entropy_route_bits": cross,
+                "route_discrepancy_bits": abs(fock - cross),
                 "difference_bits": abs(oracle - fock),
                 "cutoff": cutoff,
                 "mean_photons": mean_photons,
             }
             lines.append(
                 f"covariance oracle {oracle:.6f} bits, Fock truncation at {cutoff}: "
-                f"{fock:.6f} bits (difference {abs(oracle - fock):.2e})"
+                f"{fock:.6f} bits (difference {abs(oracle - fock):.2e}; "
+                f"route discrepancy {abs(fock - cross):.2e})"
             )
         else:
             channel = _need_channel(spec, command)
@@ -220,11 +233,10 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             )
         else:
             constraint = _need_constraint(spec, command)
-            members = _flag(flags, spec, "members", None)
             res = chi_capacity(
                 channel,
                 constraint,
-                members=None if members is None else int(members),
+                members=_flag(flags, spec, "members", None, integer=True),
                 opts=_optimizer_options(flags, spec, restarts_default=3),
             )
             results = _capacity_payload(res)
@@ -269,11 +281,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
     elif command == "truncation":
         channel = _need_channel(spec, command)
         constraint = _need_constraint(spec, command)
-        ranks = _flag(flags, spec, "ranks", None)
-        if ranks is None:
-            ranks = list(range(1, channel.dim_out + 1))
-        elif isinstance(ranks, str):
-            ranks = [int(r) for r in ranks.split(",") if r]
+        ranks = _ranks(flags, spec, list(range(1, channel.dim_out + 1)))
         tau = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
         tau[0, 0] = 1.0
         results = truncation_convergence(channel, constraint, ranks, tau, opts=_optimizer_options(flags, spec))

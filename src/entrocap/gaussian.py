@@ -208,8 +208,8 @@ class GaussianState:
 
 
 def thermal_gaussian_state(mean_photons: float) -> GaussianState:
-    if mean_photons < 0.0:
-        raise ValidationError("mean photon number must be nonnegative")
+    if not 0.0 <= mean_photons < math.inf:
+        raise ValidationError(f"mean photon number must be finite and nonnegative, got {mean_photons!r}")
     v = (2.0 * mean_photons + 1.0) / 2.0
     return GaussianState(np.zeros(2), v * np.eye(2))
 
@@ -248,8 +248,8 @@ def fock_attenuator(eta: float, cutoff: int) -> KrausChannel:
 
 def thermal_state(mean_photons: float, cutoff: int) -> np.ndarray:
     """Truncated and renormalized thermal state diag((N/(N+1))^n)."""
-    if mean_photons < 0.0:
-        raise ValidationError("mean photon number must be nonnegative")
+    if not 0.0 <= mean_photons < math.inf:
+        raise ValidationError(f"mean photon number must be finite and nonnegative, got {mean_photons!r}")
     cutoff = int(cutoff)
     n = np.arange(cutoff + 1, dtype=float)
     if mean_photons == 0.0:

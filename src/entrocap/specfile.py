@@ -97,6 +97,12 @@ def _number(obj, where: str, integer: bool = False):
         raise SpecFileError(f"number out of range: {obj!r}", where) from None
 
 
+def _decode_matrices(obj, where: str) -> list:
+    if not isinstance(obj, list) or not obj:
+        raise SpecFileError("must be a nonempty list of matrices", where)
+    return [decode_complex_matrix(m, f"{where}[{i}]") for i, m in enumerate(obj)]
+
+
 def _decode_real(obj, where: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -167,17 +173,9 @@ def parse_spec(doc: dict) -> ChannelSpec:
     channel = None
     gaussian = None
     if kind == "kraus":
-        raw_ops = payload.get("kraus")
-        if not isinstance(raw_ops, list) or not raw_ops:
-            raise SpecFileError("'kraus' must be a nonempty list of matrices", "payload.kraus")
-        ops = [decode_complex_matrix(m, f"payload.kraus[{i}]") for i, m in enumerate(raw_ops)]
-        channel = KrausChannel(tuple(ops))
+        channel = KrausChannel(tuple(_decode_matrices(payload.get("kraus"), "payload.kraus")))
     elif kind == "cq":
-        raw_states = payload.get("states")
-        if not isinstance(raw_states, list) or not raw_states:
-            raise SpecFileError("'states' must be a nonempty list of matrices", "payload.states")
-        sigmas = [decode_complex_matrix(m, f"payload.states[{i}]") for i, m in enumerate(raw_states)]
-        channel = cq_channel(sigmas)
+        channel = cq_channel(_decode_matrices(payload.get("states"), "payload.states"))
     elif kind == "named":
         channel = _build_named(payload)
     else:  # gaussian
@@ -227,10 +225,8 @@ def parse_spec(doc: dict) -> ChannelSpec:
     if raw_mu is not None:
         if not isinstance(raw_mu, dict) or "weights" not in raw_mu or "states" not in raw_mu:
             raise SpecFileError("ensemble needs 'weights' and 'states'", "ensemble")
-        states = [
-            decode_complex_matrix(m, f"ensemble.states[{i}]") for i, m in enumerate(raw_mu["states"])
-        ]
-        ensemble = Ensemble(np.asarray(raw_mu["weights"], dtype=float), tuple(states))
+        states = _decode_matrices(raw_mu["states"], "ensemble.states")
+        ensemble = Ensemble(_decode_real(raw_mu["weights"], "ensemble.weights", 1), tuple(states))
         if channel is not None and ensemble.dim != channel.dim_in:
             raise ValidationError("ensemble dimension does not match channel input")
 

@@ -327,9 +327,10 @@ def check_fock_oracle_agreement(seed=0):
     att = ga.fock_attenuator(0.6, cut)
     th = ga.thermal_state(0.5, cut)
     mi = mutual_information(th, att, route="entropies")
+    routes = abs(mi - mutual_information(th, att))
     oracle = ga.gaussian_mi_oracle(ga.attenuator_params(0.6), ga.thermal_gaussian_state(0.5))
     diff = abs(mi - oracle)
-    return diff <= 5e-3, f"fock MI vs covariance oracle differ by {diff:.2e} (tol 5e-3)"
+    return diff <= 5e-3 and routes <= 1e-8, f"fock MI vs oracle {diff:.2e} (tol 5e-3), routes {routes:.2e} (tol 1e-8)"
 
 
 def check_classify_invariance(seed=0, count=50):

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from entrocap import (
     QuantumOperation,
     ValidationError,
     apply,
+    attenuator_params,
     chi_quantity,
     chi_through,
     coherent_information,
@@ -16,10 +19,13 @@ from entrocap import (
     dephasing_channel,
     entropy,
     fixed_marginal_ensemble,
+    fock_attenuator,
+    gaussian_mi_oracle,
     identity_channel,
     mutual_information,
     partial_trace,
     pure_state_ensemble,
+    purify,
     raw_entropy,
     relative_entropy,
     replacement_channel,
@@ -28,6 +34,8 @@ from entrocap import (
     sample_state,
     tensor,
     tensor_channel,
+    thermal_gaussian_state,
+    thermal_state,
     unitary_channel,
 )
 
@@ -42,6 +50,16 @@ def random_channel(rng, d_in, d_out, rank=None):
     rank = rank or int(rng.integers(max(1, -(-d_in // d_out)), 5))
     rank = max(rank, -(-d_in // d_out))
     return sample_channel(d_in, d_out, rank, seed=int(rng.integers(0, 2**31)))
+
+
+def dense_mutual_information(rho, op):
+    """The relative-entropy MI on the dense (d_out d)^2 joint state and product."""
+    d = rho.shape[0]
+    phi = purify(rho).vec.reshape(d, d)
+    vecs = [(k @ phi).reshape(-1) for k in op.kraus]
+    joint = sum(np.outer(v, v.conj()) for v in vecs)
+    ref = phi.T @ phi.conj()
+    return relative_entropy(joint, tensor(apply(op, rho), ref), support_tol=0.0, leak_tol=1e-9)
 
 
 class TestEntropy:
@@ -299,6 +317,56 @@ class TestMutualInformation:
             joint = mutual_information(tensor(r1, r2), tensor_channel(c1, c2), route="entropies")
             split = mutual_information(r1, c1, route="entropies") + mutual_information(r2, c2, route="entropies")
             assert abs(joint - split) <= 1e-8
+
+
+class TestTensorStructuredRoute:
+    """The default relative-entropy route, evaluated without the dense joint state."""
+
+    @pytest.mark.parametrize("cutoff", [40, 80])
+    def test_fock_attenuator_matches_entropies_route(self, cutoff):
+        att, rho = fock_attenuator(0.6, cutoff), thermal_state(1.0, cutoff)
+        value = mutual_information(rho, att)
+        assert abs(value - mutual_information(rho, att, route="entropies")) <= 1e-12
+        if cutoff == 80:
+            oracle = gaussian_mi_oracle(attenuator_params(0.6), thermal_gaussian_state(1.0))
+            assert abs(value - oracle) <= 1e-9
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(21)
+        cases = []
+        for d_in, d_out in [(2, 3), (3, 2), (4, 2), (2, 5), (3, 3)]:
+            chan = random_channel(rng, d_in, d_out)
+            cases.append((sample_state(d_in, seed=int(rng.integers(0, 2**31))), chan))
+            cases.append((sample_state(d_in, rank=1, seed=int(rng.integers(0, 2**31))), chan))
+        cases.append((sample_state(2, seed=22), replacement_channel(sample_state(3, seed=23), dim_in=2)))
+        chan = random_channel(rng, 3, 3, rank=2)
+        proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        cases.append((sample_state(3, seed=24), QuantumOperation(tuple(proj @ k for k in chan.kraus))))
+        for rho, op in cases:
+            assert abs(mutual_information(rho, op) - dense_mutual_information(rho, op)) <= 1e-12
+
+    def test_independent_of_dense_and_environment_paths(self, monkeypatch):
+        att, rho = fock_attenuator(0.6, 12), thermal_state(0.5, 12)
+        expected = mutual_information(rho, att, route="entropies")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the relative-entropy route must not call this")
+
+        module = importlib.import_module("entrocap.entropy")  # the package attribute is the function
+        for name in ("environment_output", "tensor", "relative_entropy"):
+            monkeypatch.setattr(module, name, forbidden)
+        assert abs(mutual_information(rho, att) - expected) <= 1e-12
+
+    def test_no_dense_joint_allocation(self):
+        att, rho = fock_attenuator(0.6, 40), thermal_state(1.0, 40)
+        tracemalloc.start()
+        try:
+            mutual_information(rho, att)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense (41^2)^2 joint state alone is 45 MB, 41x the Kraus stack
+        assert peak <= 10 * att.kraus_stack().nbytes
 
 
 class TestCoherentInformation:

@@ -48,6 +48,27 @@ def doc_with_number(field, value):
     return {"schema_version": 1, "kind": "named", "payload": {"name": name, "params": params}}
 
 
+OPTION_COMMANDS = {
+    "max_iterations": ("cea", "identity_qubit"),
+    "gap_tolerance": ("cea", "identity_qubit"),
+    "restarts": ("cea", "identity_qubit"),
+    "seed": ("cea", "identity_qubit"),
+    "epsilon": ("cea", "identity_qubit"),
+    "members": ("chi", "identity_qubit"),
+    "mean_photons": ("mi", "gaussian_attenuator"),
+    "cutoff": ("mi", "gaussian_attenuator"),
+}
+
+
+def doc_with_option(key, value):
+    """The command that reads ``options.key`` and an example spec with it set to ``value``."""
+    command, name = OPTION_COMMANDS[key]
+    with open(f"{SPECS}/{name}.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["options"] = {key: value}
+    return command, doc
+
+
 class TestEncoding:
     def test_roundtrip(self):
         mat = np.array([[1.0 + 2.0j, 0.0], [-1.5j, 0.25]])
@@ -123,6 +144,13 @@ class TestCliCommands:
         assert code == 0
         assert report["results"]["difference_bits"] <= 5e-3
 
+    def test_gaussian_mi_cross_checks_routes(self):
+        code, report, _ = run("mi", f"{SPECS}/gaussian_attenuator.json", {})
+        assert code == 0
+        res = report["results"]
+        assert abs(res["fock_relative_entropy_route_bits"] - res["fock_bits"]) == res["route_discrepancy_bits"]
+        assert res["route_discrepancy_bits"] <= 1e-10
+
     def test_gaussian_classify_fully_depolarizing(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -178,6 +206,34 @@ class TestCliCommands:
         assert main(["validate", write_spec(tmp_path, doc_with_number(field, 1.5))]) == 2
         assert f"{field}: expected an integer" in capsys.readouterr().err
         assert main(["validate", write_spec(tmp_path, doc_with_number(field, integral))]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", [1], None])
+    @pytest.mark.parametrize("key", sorted(OPTION_COMMANDS))
+    def test_exit_code_non_numeric_option(self, tmp_path, capsys, key, value):
+        command, doc = doc_with_option(key, value)
+        assert main([command, write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"options.{key}: expected a number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["max_iterations", "restarts", "seed", "members", "cutoff"])
+    def test_exit_code_non_integral_option(self, tmp_path, capsys, key):
+        command, doc = doc_with_option(key, 1.5)
+        assert main([command, write_spec(tmp_path, doc)]) == 2
+        assert f"options.{key}: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mean_photons", [math.nan, math.inf])
+    def test_exit_code_non_finite_mean_photons(self, tmp_path, capsys, mean_photons):
+        command, doc = doc_with_option("mean_photons", mean_photons)
+        assert main([command, write_spec(tmp_path, doc)]) == 3
+        assert "mean photon number must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3, None, "1,x", [1, "2"], [1.5]])
+    def test_exit_code_bad_ranks(self, tmp_path, capsys, value):
+        with open(f"{SPECS}/cq_qutrit.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["options"] = {"ranks": value}
+        assert main(["truncation", write_spec(tmp_path, doc)]) == 2
+        assert "options.ranks" in capsys.readouterr().err
 
     def test_missing_command_spec(self):
         with pytest.raises(SpecFileError):
@@ -236,6 +292,21 @@ class TestEnsembleSpec:
         code, report, _ = run("chi", path, {})
         assert code == 0
         assert abs(report["results"]["chi_of_ensemble_bits"] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "field, value", [("weights", "abc"), ("weights", None), ("states", "abc"), ("states", None), ("states", [])]
+    )
+    def test_exit_code_malformed_ensemble(self, tmp_path, capsys, field, value):
+        doc = {
+            "schema_version": 1,
+            "kind": "named",
+            "payload": {"name": "identity", "params": {"dim": 2}},
+            "ensemble": {"weights": [1.0], "states": [encode_complex_matrix(np.eye(2) / 2)]},
+        }
+        doc["ensemble"][field] = value
+        assert main(["chi", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"ensemble.{field}" in err and "Traceback" not in err
 
     def test_ensemble_dimension_checked(self, tmp_path):
         doc = {
