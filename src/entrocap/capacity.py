@@ -31,9 +31,10 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, _entropy_and_slope, chi_through, entropy, relative_entropy
+from .entropy import Ensemble, _entropy_and_slope, _member_terms, _spectra, _spectrum_entropy, chi_through, entropy
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
+    _log2_from_eig,
     assert_density_operator,
     assert_hermitian,
     hermitian_eig,
@@ -68,6 +69,9 @@ _RELENT_CAP_BITS = 60.0
 # unconverged (gaps 3.7e-3 and 6.5e-3) in 4.7 s; with them both converge in
 # 15 and 30 iterations, 1.2 s (one BLAS thread, 2 vCPUs).
 _POLISH_STEPS = 8
+
+# A chi restart stops once its best value gains at most 1e-12 over this many iterations.
+_CHI_STALL_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,18 @@ class OptimizerOptions:
     seed: int = 0
     epsilon: float = 1e-9
     line_search_tol: float = 1e-10
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("max_iterations", self.max_iterations >= 1, ">= 1"),
+            ("restarts", self.restarts >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("gap_tolerance", 0.0 <= self.gap_tolerance < math.inf, "finite and >= 0"),
+            ("epsilon", 0.0 <= self.epsilon < 1.0, "in [0, 1)"),
+            ("line_search_tol", 0.0 < self.line_search_tol < 1.0, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ValidationError(f"optimizer option {name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -445,15 +461,14 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     )
 
 
-def _capped_relent(a, b) -> float:
-    v = relative_entropy(a, b)
-    if math.isinf(v):
-        return _RELENT_CAP_BITS
-    return min(v, _RELENT_CAP_BITS)
-
-
 def _retilt(weights, energies, bound):
-    """Gibbs re-tilt of weights (bisection on the rate) to restore feasibility."""
+    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible.
+
+    Newton steps from beta = 0 (the mean energy's slope is minus its variance) inside the bracket
+    of infeasible and feasible rates; a step after two landings on one side is doubled, so both
+    ends close in.  Stops at a feasible rate whose mean energy is the bound to rounding, or at
+    adjacent-float bracket ends, and returns the weights at the feasible end.
+    """
     w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
     w = w / w.sum()
     f = np.asarray(energies, dtype=float)
@@ -461,44 +476,42 @@ def _retilt(weights, energies, bound):
         return w
     if float(f.min()) > bound + 1e-12:
         raise ValidationError("no re-tilt can restore feasibility")
+    rounding = 4.0 * np.finfo(float).eps * float(np.abs(f).max())
 
-    def mean_energy(beta):
-        logits = -beta * (f - f.min())
-        p = w * np.exp(logits)
+    def tilt(beta):
+        p = w * np.exp(-beta * (f - f.min()))
         p = p / p.sum()
-        return float(p @ f), p
+        mean = float(p @ f)
+        return p, mean - bound, float(p @ (f - mean) ** 2)
 
-    beta_lo, beta_hi = 0.0, 1.0
-    for _ in range(200):
-        val, _ = mean_energy(beta_hi)
-        if val <= bound:
-            break
-        beta_lo = beta_hi
-        beta_hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (beta_lo + beta_hi)
-        val, _ = mean_energy(mid)
-        if val <= bound:
-            beta_hi = mid
+    lo, hi, p_hi, beta, same_side = 0.0, math.inf, None, 0.0, False
+    p, excess, var = tilt(beta)
+    while lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
+        t = beta + (2.0 if same_side else 1.0) * excess / var if var > 0.0 else mid
+        if not lo < t < hi:
+            t = mid
+        p, excess_t, var = tilt(t)
+        same_side, beta, excess = (excess_t <= 0.0) == (excess <= 0.0), t, excess_t
+        if excess > 0.0:
+            lo = t
         else:
-            beta_lo = mid
-    _, p = mean_energy(beta_hi)
-    return p
+            hi, p_hi = t, p
+            if excess >= -rounding:
+                break
+    return p if p_hi is None else p_hi
 
 
-def _pure_chi(channel, weights, vectors):
+def _pure_images(kraus, vectors):
+    """Amplitudes ``A[i, :, k] = K_k v_i`` and images ``A_i A_i†`` of the pure states in the rows of ``vectors``."""
+    amps = np.einsum("kba,ia->ibk", kraus, vectors)
+    return amps, amps @ amps.conj().swapaxes(-1, -2)
+
+
+def _pure_chi(kraus, weights, vectors):
     """chi of a pure-state ensemble through a channel, entropy-difference form."""
-    avg = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for p, v in zip(weights, vectors):
-        avg += p * np.outer(v, v.conj())
-    avg = 0.5 * (avg + avg.conj().T)
-    out_avg = apply(channel, avg)
-    member_term = 0.0
-    for p, v in zip(weights, vectors):
-        if p <= 0.0:
-            continue
-        member_term += p * entropy(apply(channel, np.outer(v, v.conj())))
-    return entropy(out_avg) - member_term
+    images = _pure_images(kraus, vectors)[1]
+    avg = np.einsum("i,ibc->bc", weights, images)
+    return entropy(avg) - float(weights @ _spectrum_entropy(_spectra(images, "ensemble image")))
 
 
 def chi_capacity(
@@ -512,111 +525,86 @@ def chi_capacity(
     Alternates a Blahut-Arimoto style weight update (with a Gibbs re-tilt to
     keep the average state feasible) with projected gradient steps on the
     pure members; multi-start, merged by best value.  No optimality claim.
+    The members are the rows of one ``(m, d)`` array, so a step maps them
+    with one einsum and diagonalizes their images with one batched
+    eigensolver call.  A restart stops once its best value has gained at
+    most 1e-12 over ``_CHI_STALL_STEPS`` iterations, or after
+    ``opts.max_iterations``.  ``iterations`` sums the steps the restarts
+    took; ``converged`` means the winning restart stopped on the stall test.
     """
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
     if channel.dim_in != constraint.dim:
         raise ValidationError("constraint dimension does not match channel input")
     channel = _maybe_prune(channel)
+    kraus, f_op, bound = channel.kraus_stack(), constraint.operator, constraint.bound
     d = channel.dim_in
     m = int(members) if members is not None else d * d
     if m < 1:
         raise ValidationError("ensemble size must be positive")
     t0 = time.perf_counter()
-    fw, fu = hermitian_eig(constraint.operator)
-    ground = fu[:, -1]
+    fw, fu = hermitian_eig(f_op)
+
+    def energies_of(vectors):
+        return np.einsum("ia,ab,ib->i", vectors.conj(), f_op, vectors).real
 
     def run(restart: int):
         rng = np.random.default_rng(opts.seed + restart)
-        vectors = []
-        if restart == 0:
-            for k in range(min(m, d)):
-                e = np.zeros(d, dtype=complex)
-                e[k] = 1.0
-                vectors.append(e)
-        while len(vectors) < m:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vectors.append(v / np.linalg.norm(v))
-        energies = np.array([float(np.vdot(v, constraint.operator @ v).real) for v in vectors])
-        if energies.min() > constraint.bound:
-            vectors[-1] = ground.copy()
-            energies[-1] = float(fw[-1])
-        weights = _retilt(np.full(m, 1.0 / m), energies, constraint.bound)
+        k0 = min(m, d) if restart == 0 else 0
+        rows = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m - k0)]
+        vecs = np.array([*np.eye(d, dtype=complex)[:k0], *(v / np.linalg.norm(v) for v in rows)])
+        energies = energies_of(vecs)
+        if energies.min() > bound:
+            vecs[-1], energies[-1] = fu[:, -1], float(fw[-1])
+        weights = _retilt(np.full(m, 1.0 / m), energies, bound)
 
-        best = _pure_chi(channel, weights, vectors)
-        best_state = (weights.copy(), [v.copy() for v in vectors])
-        step = 0.25
-        for _ in range(opts.max_iterations):
+        best = _pure_chi(kraus, weights, vecs)
+        best_state, history, step = (weights, vecs), [best], 0.25
+        for taken in range(1, opts.max_iterations + 1):
             # (a) weight update toward the exponential-tilt fixed point
-            avg = sum(p * np.outer(v, v.conj()) for p, v in zip(weights, vectors))
-            out_avg = apply(channel, 0.5 * (avg + avg.conj().T))
-            scores = np.array(
-                [
-                    _capped_relent(apply(channel, np.outer(v, v.conj())), out_avg)
-                    for v in vectors
-                ]
-            )
-            weights = weights * np.exp2(scores - scores.max())
-            weights = np.clip(weights, 1e-300, None)
-            weights = weights / weights.sum()
-            weights = _retilt(weights, energies, constraint.bound)
+            amps, images = _pure_images(kraus, vecs)
+            avg = np.einsum("i,ibc->bc", weights, images)
+            scores, member_entropies, logs = _member_terms(images, avg, _RELENT_CAP_BITS)
+            weights = np.clip(weights * np.exp2(scores - scores.max()), 1e-300, None)
+            weights = _retilt(weights / weights.sum(), energies, bound)
 
-            # (b) projected gradient step on the member states
-            avg = sum(p * np.outer(v, v.conj()) for p, v in zip(weights, vectors))
-            log_avg = hermitian_log2(apply(channel, 0.5 * (avg + avg.conj().T)))
-            candidates = []
-            for p, v in zip(weights, vectors):
-                if p <= 1e-14:
-                    candidates.append(v)
-                    continue
-                log_out = hermitian_log2(apply(channel, np.outer(v, v.conj())))
-                grad_mat = dual_apply(channel, log_out - log_avg)
-                y = grad_mat @ v
-                y = y - np.vdot(v, y) * v
-                cand = v + step * y
-                candidates.append(cand / np.linalg.norm(cand))
-            cand_energies = np.array(
-                [float(np.vdot(v, constraint.operator @ v).real) for v in candidates]
-            )
-            if cand_energies.min() <= constraint.bound:
-                cand_weights = _retilt(weights, cand_energies, constraint.bound)
-                gain = _pure_chi(channel, cand_weights, candidates)
-                if gain >= best - 1e-12:
-                    vectors = candidates
-                    energies = cand_energies
-                    weights = cand_weights
-                    step = min(step * 1.25, 4.0)
-                else:
-                    step = max(step * 0.5, 1e-4)
+            # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
+            avg = np.einsum("i,ibc->bc", weights, images)
+            y = np.einsum("kba,ibk->ia", kraus.conj(), (logs - hermitian_log2(avg)) @ amps)
+            y -= np.einsum("ia,ia->i", vecs.conj(), y)[:, None] * vecs
+            cand = vecs + step * y
+            cand = np.where(weights[:, None] > 1e-14, cand / np.linalg.norm(cand, axis=1, keepdims=True), vecs)
+            cand_energies = energies_of(cand)
+            gain = -math.inf
+            if cand_energies.min() <= bound:
+                cand_weights = _retilt(weights, cand_energies, bound)
+                gain = _pure_chi(kraus, cand_weights, cand)
+            if gain >= best - 1e-12:
+                vecs, energies, weights, cur = cand, cand_energies, cand_weights, gain
+                step = min(step * 1.25, 4.0)
             else:
                 step = max(step * 0.5, 1e-4)
-            cur = _pure_chi(channel, weights, vectors)
+                cur = entropy(avg) - float(weights @ member_entropies)
             if cur > best:
-                best = cur
-                best_state = (weights.copy(), [v.copy() for v in vectors])
-        return best, best_state
+                best, best_state = cur, (weights, vecs)
+            history.append(best)
+            if taken >= _CHI_STALL_STEPS and best - history[-1 - _CHI_STALL_STEPS] <= 1e-12:
+                return best, best_state, taken, True
+        return best, best_state, opts.max_iterations, False
 
-    outcomes = []
-    for r in range(max(1, opts.restarts)):
-        val, state = run(r)
-        outcomes.append((val, r, state))
-    best_val, _, (weights, vectors) = max(outcomes, key=lambda o: (o[0], -o[1]))
+    outcomes = [(*run(r), r) for r in range(opts.restarts)]
+    _, (weights, vecs), _, converged, _ = max(outcomes, key=lambda o: (o[0], -o[4]))
 
-    mu = Ensemble(
-        weights,
-        tuple(np.outer(v, v.conj()) for v in vectors),
-    )
-    avg = mu.barycenter()
-    if not constraint.is_feasible(avg):
+    mu = Ensemble(weights, tuple(np.outer(v, v.conj()) for v in vecs))
+    if not constraint.is_feasible(mu.barycenter()):
         raise ValidationError("heuristic ensemble left the feasible set")
-    value = chi_through(channel, mu)
     return CapacityResult(
-        value=value,
+        value=chi_through(channel, mu),
         optimizer=mu,
         gap=None,
         heuristic=True,
-        iterations=opts.max_iterations * max(1, opts.restarts),
+        iterations=sum(o[2] for o in outcomes),
         wall_time=time.perf_counter() - t0,
-        converged=True,
+        converged=converged,
     )
 
 
@@ -631,6 +619,8 @@ def chi_at_state(
     Minimizes the mean output entropy over pure decompositions of ``rho``;
     decompositions are parametrized by isometries acting on the canonical
     purification, searched by Riemannian gradient descent with restarts.
+    ``iterations`` sums the steps the restarts took; ``converged`` means the
+    winning restart stopped on the gradient test or the step-size floor.
     """
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
     rho = assert_density_operator(rho)
@@ -643,29 +633,21 @@ def chi_at_state(
     if m < rank:
         raise ValidationError(f"decomposition size {m} below state rank {rank}")
     t0 = time.perf_counter()
+    kraus = channel.kraus_stack()
     root = u[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))  # rho = root root†
 
     def objective(stiefel):
         x = stiefel @ root.T  # rows are subnormalized member vectors
-        total = 0.0
-        for i in range(m):
-            sig = apply(channel, np.outer(x[i], x[i].conj()))
-            total += entropy(sig)
-        return total, x
+        amps, images = _pure_images(kraus, x)
+        p, u = _spectra(images, "member image", vectors=True)
+        return float(_spectrum_entropy(p).sum()), (x, amps, p, u)
 
-    def gradient(stiefel, x):
-        rows = []
-        for i in range(m):
-            xi = x[i]
-            tr = float(np.vdot(xi, xi).real)
-            if tr <= 1e-14:
-                rows.append(np.zeros_like(xi))
-                continue
-            sig = apply(channel, np.outer(xi, xi.conj()))
-            mat = dual_apply(channel, -hermitian_log2(sig) + math.log2(tr) * np.eye(channel.dim_out))
-            rows.append(mat @ xi)
-        y = np.stack(rows, axis=0)  # d(objective)/d(conj X)
-        g = y @ root.conj()
+    def gradient(stiefel, state):
+        x, amps, p, u = state
+        tr = np.einsum("ia,ia->i", x.conj(), x).real
+        logs = np.log2(np.where(tr > 1e-14, tr, 1.0))[:, None, None] * np.eye(channel.dim_out)
+        y = np.einsum("kba,ibk->ia", kraus.conj(), (logs - _log2_from_eig(p, u)) @ amps)
+        g = np.where(tr[:, None] > 1e-14, y, 0.0) @ root.conj()  # d(objective)/d(conj stiefel)
         sym = stiefel.conj().T @ g
         return g - stiefel @ (0.5 * (sym + sym.conj().T))
 
@@ -675,39 +657,36 @@ def chi_at_state(
             stiefel[:rank, :rank] = np.eye(rank)
         else:
             stiefel = sample_isometry(rank, m, seed=opts.seed + restart)
-        val, x = objective(stiefel)
-        step, taken = 0.5, 0
+        val, state = objective(stiefel)
+        step, taken, converged = 0.5, 0, False
         for _ in range(opts.max_iterations):
-            g = gradient(stiefel, x)
+            g = gradient(stiefel, state)
             if float(np.abs(g).max()) < 1e-12:
+                converged = True
                 break
             taken += 1
             cand = stiefel - step * g
             q, r = np.linalg.qr(cand)
             diag = np.diagonal(r)
             q = q * (diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0))).conj()
-            cand_val, cand_x = objective(q)
+            cand_val, cand_state = objective(q)
             if cand_val < val - 1e-14:
-                stiefel, val, x = q, cand_val, cand_x
+                stiefel, val, state = q, cand_val, cand_state
                 step = min(step * 1.25, 4.0)
             else:
                 step *= 0.5
                 if step < 1e-8:
+                    converged = True
                     break
-        return val, x, taken
+        return val, state[0], taken, converged
 
-    outcomes = [(*run(r), r) for r in range(max(1, opts.restarts))]
-    best_hull, x, _, _ = min(outcomes, key=lambda o: (o[0], o[3]))
+    outcomes = [(*run(r), r) for r in range(opts.restarts)]
+    best_hull, x, _, converged, _ = min(outcomes, key=lambda o: (o[0], o[4]))
 
-    weights = np.array([float(np.vdot(row, row).real) for row in x])
+    weights = np.einsum("ia,ia->i", x.conj(), x).real
     keep = weights > 1e-12
-    weights = weights[keep]
-    weights = weights / weights.sum()
-    states = tuple(
-        np.outer(row / np.linalg.norm(row), (row / np.linalg.norm(row)).conj())
-        for row in x[keep]
-    )
-    mu = Ensemble(weights, states)
+    rows = x[keep] / np.sqrt(weights[keep])[:, None]
+    mu = Ensemble(weights[keep] / weights[keep].sum(), tuple(np.outer(r, r.conj()) for r in rows))
     value = entropy(apply(channel, rho)) - best_hull
     return CapacityResult(
         value=value,
@@ -716,7 +695,7 @@ def chi_at_state(
         heuristic=True,
         iterations=sum(o[2] for o in outcomes),
         wall_time=time.perf_counter() - t0,
-        converged=True,
+        converged=converged,
     )
 
 

@@ -25,8 +25,10 @@ import numpy as np
 from .channels import KrausChannel, QuantumOperation, apply, environment_output, tensor_channel, identity_channel
 from .errors import ValidationError
 from .linalg import (
+    HERMITICITY_TOL,
     LN2,
     PSD_TOL,
+    _log2_from_eig,
     assert_density_operator,
     assert_hermitian,
     hermitian_eig,
@@ -56,11 +58,25 @@ SUPPORT_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 
 
-def _clipped_spectrum(a, name: str = "operator", vectors: bool = False):
-    """Checked spectrum of a PSD operator clipped at zero, and its eigenvectors if ``vectors``."""
-    m = assert_hermitian(a, name=name)
-    m = 0.5 * (m + m.conj().T)
-    w, u = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+def _spectra(stack, name: str = "operator", vectors: bool = False):
+    """Checked spectra of one operator or a stack ``(..., d, d)`` of them, in one eigensolver call.
+
+    Each member must be Hermitian within ``HERMITICITY_TOL`` and have no
+    eigenvalue below ``-PSD_TOL``.  Returns the eigenvalues clipped at zero
+    (ascending along the last axis), and the eigenvectors if ``vectors``;
+    :func:`_spectrum_entropy` checks their traces.
+    """
+    s = np.asarray(stack, dtype=complex)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise ValidationError(f"expected a square matrix, got shape {s.shape}")
+    h = s.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf deviations fail below
+        dev = np.abs(s - h).max(initial=0.0)
+    if not dev <= HERMITICITY_TOL:
+        for member in s.reshape(-1, *s.shape[-2:]):
+            assert_hermitian(member, name=name)  # raises for the first offending member
+    s = 0.5 * (s + h)
+    w, u = np.linalg.eigh(s) if vectors else (np.linalg.eigvalsh(s), None)
     w = _clip_psd(w, name)
     return (w, u) if vectors else w
 
@@ -72,33 +88,46 @@ def _clip_psd(w, name: str):
     return np.clip(w, 0.0, None)
 
 
-def _spectrum_entropy(w, homogeneous: bool = True) -> float:
-    """``-sum w log2 w`` of a clipped spectrum of trace t <= 1, plus ``t log2 t`` if ``homogeneous``."""
-    t = float(w.sum())
-    if t > 1.0 + 1e-10:
-        raise ValidationError(f"trace {t!r} exceeds 1")
-    nz = w[w > 0.0]
-    if nz.size == 0 or t <= 0.0:
-        return 0.0
-    raw = float(-(nz * np.log2(nz)).sum())
-    return raw + t * math.log2(t) if homogeneous else raw
+def _xlogx(w):
+    """``w log2 w`` summed over the last axis of clipped spectra, with ``0 log2 0 = 0``."""
+    return (w * np.log2(np.maximum(w, _LOG_FLOOR))).sum(axis=-1)
+
+
+def _spectrum_entropy(w, homogeneous: bool = True):
+    """``-sum w log2 w`` over the last axis of clipped spectra of trace t <= 1, plus ``t log2 t`` if ``homogeneous``."""
+    t = w.sum(axis=-1)
+    if not t.max(initial=0.0) <= 1.0 + 1e-10:
+        raise ValidationError(f"trace {float(t.max())!r} exceeds 1")
+    raw = -_xlogx(w)
+    return raw + t * np.log2(np.maximum(t, _LOG_FLOOR)) if homogeneous else raw
 
 
 def _entropy_and_slope(m, d):
     """:func:`entropy` of ``m`` and its derivative ``-Tr(d log2 m)`` along a traceless ``d``."""
-    w, u = _clipped_spectrum(m, vectors=True)
+    w, u = _spectra(m, vectors=True)
     d_diag = np.einsum("ij,ij->j", u.conj(), d @ u).real
-    return _spectrum_entropy(w), -float(np.log2(np.maximum(w, _LOG_FLOOR)) @ d_diag)
+    return float(_spectrum_entropy(w)), -float(np.log2(np.maximum(w, _LOG_FLOOR)) @ d_diag)
+
+
+def _member_terms(images, avg, cap: float):
+    """Per member of a stack of states, from one :func:`_spectra` call: the relative entropy to
+    ``avg`` capped at ``cap`` bits (``cap`` where :func:`relative_entropy` is inf), the entropy,
+    and the log2 matrix (eigenvalues floored at 1e-30 as in ``hermitian_log2``)."""
+    p, u = _spectra(images, "ensemble image", vectors=True)
+    q, v = _spectra(avg, "average image", vectors=True)
+    weight = np.einsum("ijl,il->ij", np.abs(v.conj().T @ u) ** 2, p)  # <v_j|images[i]|v_j>
+    relent = _relative_entropy_tail(p, q, weight, SUPPORT_TOL, SUPPORT_TOL)
+    return np.minimum(relent, cap), _spectrum_entropy(p), _log2_from_eig(p, u)
 
 
 def raw_entropy(a) -> float:
     """Plain ``-Tr A log2 A`` for a PSD operator with trace at most one."""
-    return _spectrum_entropy(_clipped_spectrum(a), homogeneous=False)
+    return float(_spectrum_entropy(_spectra(a), homogeneous=False))
 
 
 def entropy(a) -> float:
     """Trace-homogeneous entropy; the von Neumann entropy on unit-trace states."""
-    return _spectrum_entropy(_clipped_spectrum(a))
+    return float(_spectrum_entropy(_spectra(a)))
 
 
 def relative_entropy(a, b, support_tol: float = SUPPORT_TOL, leak_tol: float | None = None) -> float:
@@ -116,18 +145,15 @@ def relative_entropy(a, b, support_tol: float = SUPPORT_TOL, leak_tol: float | N
     p = _clip_psd(p, "first argument")
     q = _clip_psd(q, "second argument")
     weight = (np.abs(w.conj().T @ u) ** 2) @ p  # weight[j] = <w_j|a|w_j>
-    return _relative_entropy_tail(p, q, weight, support_tol, support_tol if leak_tol is None else leak_tol)
+    return float(_relative_entropy_tail(p, q, weight, support_tol, support_tol if leak_tol is None else leak_tol))
 
 
-def _relative_entropy_tail(p, q, weight, support_tol: float, leak_tol: float) -> float:
-    """Relative entropy from the clipped spectra p of a, q of b, and a's diagonal in b's eigenbasis."""
-    kernel = q <= support_tol
-    if kernel.any() and float(weight[kernel].sum()) > leak_tol:
-        return math.inf
-    nz = p[p > 0.0]
-    term_a = float((nz * np.log2(nz)).sum())
-    term_cross = float(np.log2(np.maximum(q, _LOG_FLOOR)) @ weight)
-    return term_a - term_cross + (float(q.sum()) - float(p.sum())) / LN2
+def _relative_entropy_tail(p, q, weight, support_tol: float, leak_tol: float):
+    """Relative entropy from the clipped spectra p of a, q of b, and a's diagonal in b's eigenbasis;
+    ``p`` and ``weight`` may carry stack axes.  Inf where over ``leak_tol`` of a lies on q <= support_tol."""
+    leak = weight[..., q <= support_tol].sum(axis=-1) > leak_tol
+    value = _xlogx(p) - weight @ np.log2(np.maximum(q, _LOG_FLOOR)) + (q.sum() - p.sum(axis=-1)) / LN2
+    return np.where(leak, math.inf, value)
 
 
 def conditional_entropy(rho, layout, sys=(0,), cond=(1,)) -> float:
@@ -211,12 +237,7 @@ def pure_state_ensemble(weights, vectors) -> Ensemble:
 def chi_quantity(mu: Ensemble) -> float:
     """chi-quantity: sum_i pi_i H(rho_i || rho_bar), in bits."""
     avg = mu.barycenter()
-    total = 0.0
-    for p, s in zip(mu.weights, mu.states):
-        if p <= 0.0:
-            continue
-        total += p * relative_entropy(s, avg)
-    return total
+    return float(sum(p * relative_entropy(s, avg) for p, s in zip(mu.weights, mu.states) if p > 0.0))
 
 
 def chi_through(op: QuantumOperation, mu: Ensemble) -> float:
@@ -231,12 +252,7 @@ def chi_through(op: QuantumOperation, mu: Ensemble) -> float:
     images = [apply(op, s) for s in mu.states]
     avg = apply(op, mu.barycenter())
     if isinstance(op, KrausChannel):
-        total = 0.0
-        for p, img in zip(mu.weights, images):
-            if p <= 0.0:
-                continue
-            total += p * relative_entropy(img, avg)
-        return total
+        return float(sum(p * relative_entropy(img, avg) for p, img in zip(mu.weights, images) if p > 0.0))
     return raw_entropy(avg) - float(
         sum(p * raw_entropy(img) for p, img in zip(mu.weights, images) if p > 0.0)
     )
@@ -275,7 +291,7 @@ def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy
     p = np.linalg.svd(m.reshape(len(m), -1), compute_uv=False) ** 2
     # support containment holds identically here, so only exact kernel
     # directions are screened; the value is finite at finite dimension
-    return _relative_entropy_tail(p, q, weight, 0.0, 1e-9)
+    return float(_relative_entropy_tail(p, q, weight, 0.0, 1e-9))
 
 
 def coherent_information(rho, op: QuantumOperation, route: str = "relative_entropy") -> float:

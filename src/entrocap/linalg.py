@@ -161,9 +161,12 @@ def hermitian_log2(a, floor: float = 1e-30) -> np.ndarray:
     The floor keeps the log finite on (numerically) singular inputs; callers
     rely on structural-kernel contributions cancelling downstream.
     """
-    w, u = hermitian_eig(a)
-    w = np.maximum(w.real, floor)
-    return (u * np.log2(w)) @ u.conj().T
+    return _log2_from_eig(*hermitian_eig(a), floor)
+
+
+def _log2_from_eig(w, u, floor: float = 1e-30) -> np.ndarray:
+    """Matrix log base 2 of one or a stack of matrices from eigenvalues ``w`` and eigenvectors ``u``."""
+    return (u * np.log2(np.maximum(w, floor))[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def tensor(*ops) -> np.ndarray:

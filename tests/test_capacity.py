@@ -38,6 +38,8 @@ from entrocap import capacity
 from entrocap.channels import apply
 
 QUBIT_F = np.diag([0.0, 1.0])
+CQ_QUTRIT = cq_channel([np.diag(np.eye(3)[k]).astype(complex) for k in range(3)])
+CQ_CONSTRAINT = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 0.5)
 
 
 def shannon(probabilities):
@@ -99,6 +101,24 @@ class TestEnergyConstraint:
         c2 = constraint_tensor(EnergyConstraint(QUBIT_F, 1.0), 2)
         single = float(np.trace(rho @ QUBIT_F).real)
         assert abs(c2.energy(tensor(rho, rho)) - 2 * single) <= 1e-12
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("line_search_tol", 0.0),
+            ("line_search_tol", 1.0),
+            ("gap_tolerance", math.nan),
+            ("epsilon", 1.0),
+            ("epsilon", math.nan),
+            ("max_iterations", 0),
+            ("seed", -1),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"optimizer option {field} must be"):
+            OptimizerOptions(**{field: value})
 
 
 class TestFeasibleLinearMax:
@@ -408,6 +428,15 @@ class TestChiAtState:
         res = chi_at_state(identity_channel(2), np.eye(2) / 2)
         assert res.iterations < 3 * 160
 
+    def test_converged_reports_the_stop_rule(self):
+        # the gradient vanishes at once: converged, no step taken
+        res = chi_at_state(identity_channel(2), np.eye(2) / 2)
+        assert res.converged and res.iterations == 0
+        # two steps are not enough on a random channel: the iteration limit stops every restart
+        chan = sample_channel(3, 2, 3, seed=5)
+        res = chi_at_state(chan, sample_state(3, seed=105), opts=OptimizerOptions(max_iterations=2, restarts=2))
+        assert not res.converged and res.iterations == 4
+
     def test_decomposition_reconstructs_average(self):
         rho = sample_state(3, rank=2, seed=11)
         res = chi_at_state(identity_channel(3), rho)
@@ -439,6 +468,53 @@ class TestChiCapacity:
             con = EnergyConstraint(QUBIT_F, 0.3)
             res = chi_capacity(chan, con, opts=OptimizerOptions(max_iterations=60))
             assert con.is_feasible(res.optimizer.barycenter(), slack=1e-9)
+
+
+    def test_eigensolver_calls_per_iteration(self, monkeypatch):
+        # one batched call per stack: the per-member path made about 50 per iteration
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=1, max_iterations=50))
+        assert res.iterations >= 1
+        assert len(calls) <= 10 * res.iterations
+
+    def test_stall_stop(self):
+        opts = OptimizerOptions(restarts=3, max_iterations=160)
+        res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=opts)
+        assert res.converged
+        assert res.iterations < opts.max_iterations * opts.restarts
+        assert abs(res.value - water_filling([0.0, 1.0, 2.0], 0.5)) <= 5e-3
+
+    def test_iteration_limit_is_not_converged(self):
+        res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=2, max_iterations=3))
+        assert not res.converged
+        assert res.iterations == 6
+
+    def test_retilt_finds_the_least_feasible_rate(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            m = int(rng.integers(2, 10))
+            weights = rng.dirichlet(np.ones(m))
+            energies = rng.uniform(0.0, 3.0, m)
+            bound = float(rng.uniform(energies.min(), weights @ energies))
+            p = capacity._retilt(weights, energies, bound)
+            # reference: the exponential tilt at the bisected rate
+            lo, hi = 0.0, 1.0
+            tilt = lambda beta: weights * np.exp(-beta * (energies - energies.min()))
+            while tilt(hi) @ energies / tilt(hi).sum() > bound:
+                lo, hi = hi, 2.0 * hi
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if tilt(mid) @ energies / tilt(mid).sum() <= bound else (mid, hi)
+            assert p @ energies <= bound
+            assert np.abs(p - tilt(hi) / tilt(hi).sum()).max() <= 1e-12
 
 
 class TestInequalities:

@@ -38,6 +38,8 @@ from entrocap import (
     thermal_state,
     unitary_channel,
 )
+from entrocap.entropy import _member_terms, _spectra
+from entrocap.linalg import hermitian_log2
 
 
 def shannon(probabilities):
@@ -129,6 +131,69 @@ class TestRelativeEntropy:
         expect = 0.3 * math.log2(0.3 / 0.7) + (0.7 - 0.3) / math.log(2.0)
         assert abs(relative_entropy(a, b) - expect) <= 1e-12
         assert relative_entropy(a, b) >= 0.0
+
+
+def pure_images(op, vectors):
+    return np.stack([apply(op, np.outer(v, v.conj())) for v in vectors])
+
+
+class TestBatchedSpectralKernel:
+    """The stacked member terms against the per-member public functions."""
+
+    def check_members(self, images, avg, cap=60.0):
+        scores, entropies, logs = _member_terms(images, avg, cap)
+        for img, score, ent, log in zip(images, scores, entropies, logs):
+            assert abs(score - min(relative_entropy(img, avg), cap)) <= 1e-12  # min(inf, cap) is cap
+            assert abs(ent - entropy(img)) <= 1e-12
+            ref = hermitian_log2(img)
+            # log2 of a floored kernel eigenvalue is about -100, so compare relative to the entries
+            assert np.abs(log - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        return scores
+
+    def test_matches_per_member_path_on_random_channels(self):
+        rng = np.random.default_rng(61)
+        for d_in in range(1, 5):
+            for d_out in range(1, 5):
+                for rank in (1, 2, 4):
+                    op = sample_channel(d_in, d_out, max(rank, -(-d_in // d_out)), seed=int(rng.integers(2**31)))
+                    m = int(rng.integers(1, 6))
+                    vectors = rng.standard_normal((m, d_in)) + 1j * rng.standard_normal((m, d_in))
+                    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+                    images = pure_images(op, vectors)
+                    weights = rng.dirichlet(np.ones(m))
+                    self.check_members(images, np.einsum("i,ibc->bc", weights, images))
+
+    def test_leak_reads_the_cap(self):
+        # the average is the first image alone, so the other members leak out of its support
+        op = dephasing_channel(3)
+        images = pure_images(op, np.eye(3, dtype=complex))
+        scores = self.check_members(images, images[0], cap=60.0)
+        assert scores[0] == pytest.approx(0.0, abs=1e-12)
+        assert list(scores[1:]) == [60.0, 60.0]
+        # a finite relative entropy above the cap is capped too
+        avg = np.diag([1.0 - 2e-11, 1e-11, 1e-11])
+        assert 10.0 < relative_entropy(images[1], avg) < math.inf
+        assert list(self.check_members(images, avg, cap=10.0)[1:]) == [10.0, 10.0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.1], [0.0, 0.5]]),  # not Hermitian
+            np.diag([1.1, -0.1]),  # negative eigenvalue
+            np.diag([0.7, 0.7]),  # trace above 1
+            np.array([[math.nan, 0.0], [0.0, 1.0]]),  # non-finite
+        ],
+    )
+    def test_bad_member_fails_like_the_per_member_path(self, bad):
+        images = np.stack([np.eye(2) / 2, bad.astype(complex)])
+        with pytest.raises(ValidationError):
+            entropy(bad)
+        with pytest.raises(ValidationError):
+            _member_terms(images, np.eye(2) / 2, 60.0)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValidationError, match="square"):
+            _spectra(np.zeros((3, 2, 3)))
 
 
 class TestConditionalEntropy:

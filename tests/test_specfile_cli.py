@@ -227,6 +227,24 @@ class TestCliCommands:
         assert main([command, write_spec(tmp_path, doc)]) == 3
         assert "mean photon number must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, command, rule",
+        [
+            ("max_iterations", -1, "cea", ">= 1"),
+            ("max_iterations", 0, "chi", ">= 1"),
+            ("gap_tolerance", -1, "cea", "finite and >= 0"),
+            ("gap_tolerance", math.inf, "cea", "finite and >= 0"),
+            ("epsilon", -0.5, "cea", "in [0, 1)"),
+            ("epsilon", 1e300, "cea", "in [0, 1)"),
+            ("restarts", 0, "chi", ">= 1"),
+            ("seed", -1, "chi", ">= 0"),
+        ],
+    )
+    def test_exit_code_out_of_range_option(self, tmp_path, capsys, key, value, command, rule):
+        _, doc = doc_with_option(key, value)
+        assert main([command, write_spec(tmp_path, doc)]) == 3
+        assert f"optimizer option {key} must be {rule}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [3, None, "1,x", [1, "2"], [1.5]])
     def test_exit_code_bad_ranks(self, tmp_path, capsys, value):
         with open(f"{SPECS}/cq_qutrit.json", encoding="utf-8") as fh:
