@@ -2,11 +2,13 @@
 
 The entanglement-assisted value is the supremum of the mutual information
 over the spectrahedron slice ``{rho >= 0, Tr rho = 1, Tr rho F <= E}``.  The
-objective is concave, so a conditional-gradient (Frank-Wolfe) ascent with an
-exact linear maximization oracle yields a certified bracket: the best iterate
-is a feasible lower bound and the linearization maximum bounds the optimum
-from above.  The chi-quantity optimizers are multi-start local searches
-and their results are flagged heuristic lower bounds.
+objective is concave and smooth relative to the von Neumann entropy with
+L = 2, so a Bregman-proximal (mirror, Blahut-Arimoto) step of size 1/2 never
+lowers it and keeps the iterate feasible: the best iterate is a lower bound.
+At each iterate an exact linear maximization oracle bounds the optimum from
+above, which certifies the bracket (see :func:`cea_capacity`).  The chi
+optimizers are multi-start local searches; their results are flagged
+heuristic lower bounds.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, _entropy_and_slope, _member_terms, _spectra, _spectrum_entropy, chi_through, entropy
+from .entropy import Ensemble, _member_terms, _spectra, _spectrum_entropy, chi_through, entropy
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
+    LN2,
     _log2_from_eig,
     assert_density_operator,
     assert_hermitian,
@@ -64,11 +67,9 @@ FEASIBILITY_TOL = 1e-9
 
 _RELENT_CAP_BITS = 60.0
 
-# Pairwise weight shifts after each Frank-Wolfe step.  Without them the Fock
-# attenuator (eta 0.6, E 1) at cutoffs 10 and 20 stopped at 300 iterations
-# unconverged (gaps 3.7e-3 and 6.5e-3) in 4.7 s; with them both converge in
-# 15 and 30 iterations, 1.2 s (one BLAS thread, 2 vCPUs).
-_POLISH_STEPS = 8
+# Cap on the mirror-ascent step eta, which first tries twice the last accepted step: with eta = 1/2
+# alone the rank-2 truncation of the cq qutrit took 195 iterations (its useless input decays slowly).
+_MAX_STEP = 64.0
 
 # A chi restart stops once its best value gains at most 1e-12 over this many iterations.
 _CHI_STALL_STEPS = 20
@@ -83,7 +84,8 @@ class EnergyConstraint:
 
     def __post_init__(self):
         f = assert_hermitian(self.operator, name="constraint operator")
-        w = np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+        f = 0.5 * (f + f.conj().T)  # stored exactly Hermitian: the solvers use unchecked eigensolvers
+        w = np.linalg.eigvalsh(f)
         if float(w.min()) < -1e-10:
             raise ValidationError(f"constraint operator not PSD: min eig {float(w.min()):.3e}")
         e = float(self.bound)
@@ -123,9 +125,11 @@ def constraint_tensor(constraint: EnergyConstraint, n: int) -> EnergyConstraint:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Optimizer settings; ``line_search_tol`` is the tolerance on the step t in [0, 1].
+    """Optimizer settings.
 
     ``restarts`` and ``seed`` apply only to the heuristic chi optimizers.
+    ``line_search_tol`` is validated but has no effect: the certified solver
+    has no line search.  It stays so that existing callers keep working.
     """
 
     max_iterations: int = 300
@@ -156,7 +160,7 @@ class CapacityResult:
     ``[value, value + gap]``) for certified runs and ``None`` for heuristic
     ones; heuristic values are lower bounds with no optimality claim.
     ``trace`` holds one ``(objective, energy)`` record per completed
-    Frank-Wolfe iteration of a certified run.
+    mirror-ascent iteration of a certified run.
     """
 
     value: float
@@ -184,9 +188,12 @@ class LinearMaxResult:
 
 
 def _min_energy_vector(g_w, g_u, f, cluster_tol=1e-10):
-    """Least-energy unit vector inside the top eigenspace of a Hermitian matrix."""
+    """Least-energy unit vector inside the top eigenspace of a Hermitian matrix (eigenvalues descending)."""
     scale = max(1.0, float(np.abs(g_w).max()))
     mask = g_w >= g_w[0] - cluster_tol * scale
+    if mask.sum() == 1:
+        v = g_u[:, 0]
+        return v, float(np.vdot(v, f @ v).real)
     block = g_u[:, mask]
     fb = block.conj().T @ f @ block
     fw, fu = np.linalg.eigh(0.5 * (fb + fb.conj().T))
@@ -206,10 +213,12 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     g = assert_hermitian(g, tol=1e-8, name="objective")
     if g.shape != f.shape:
         raise ValidationError("objective and constraint dims differ")
+    g = 0.5 * (g + g.conj().T)  # with F stored Hermitian, every g - lam F is exactly Hermitian
     slack = 1e-12 * max(1.0, abs(e))
 
     def probe(lam):
-        w, u = hermitian_eig(g - lam * f)
+        w, u = np.linalg.eigh(g - lam * f)
+        w, u = w[::-1], u[:, ::-1]
         v, fval = _min_energy_vector(w, u, f)
         return v, fval, float(w[0])
 
@@ -219,27 +228,17 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
         value = float(np.vdot(v0, g @ v0).real)
         return LinearMaxResult(sigma, value, max(top0 - value, 0.0), 0.0)
 
-    lam_lo, v_lo, f_lo = 0.0, v0, f0
-    lam_hi = 1.0
-    v_hi = f_hi = top_hi = None
-    for _ in range(128):
-        v, fval, top = probe(lam_hi)
-        if fval <= e + slack:
-            v_hi, f_hi, top_hi = v, fval, top
-            break
-        lam_lo, v_lo, f_lo = lam_hi, v, fval
-        lam_hi *= 2.0
-    if v_hi is None:
-        raise ValidationError("constraint bound unreachable by Lagrangian sweep")
-
-    # bisect until lam_lo and lam_hi are adjacent floats; ties resolved
-    # toward the smaller multiplier: "feasible" shrinks lam_hi
-    while lam_lo < (mid := 0.5 * (lam_lo + lam_hi)) < lam_hi:
+    # double the multiplier from 1 (up to 2^127) until feasible, then bisect until lam_lo and lam_hi
+    # are adjacent floats; ties resolved toward the smaller multiplier: "feasible" shrinks lam_hi
+    lam_lo, v_lo, f_lo, lam_hi, v_hi = 0.0, v0, f0, 2.0**128, None
+    while lam_lo < (mid := max(2.0 * lam_lo, 1.0) if v_hi is None else 0.5 * (lam_lo + lam_hi)) < lam_hi:
         v, fval, top = probe(mid)
         if fval <= e + slack:
             lam_hi, v_hi, f_hi, top_hi = mid, v, fval, top
         else:
             lam_lo, v_lo, f_lo = mid, v, fval
+    if v_hi is None:
+        raise ValidationError("constraint bound unreachable by Lagrangian sweep")
 
     if f_lo > f_hi + 1e-300:
         t = (e - f_hi) / (f_lo - f_hi)
@@ -268,172 +267,61 @@ def mutual_information_value(channel: KrausChannel, rho) -> float:
     )
 
 
-def _mi_gradient(channel: KrausChannel, rho_eps) -> np.ndarray:
+def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
+    """Gradient of the mutual information in bits; ``log2_rho`` replaces the floored ``log2 rho``."""
     grad = (
-        -hermitian_log2(rho_eps)
-        - dual_apply(channel, hermitian_log2(apply(channel, rho_eps)))
-        + dual_environment(channel, hermitian_log2(environment_output(channel, rho_eps)))
+        -(hermitian_log2(rho) if log2_rho is None else log2_rho)
+        - dual_apply(channel, hermitian_log2(apply(channel, rho)))
+        + dual_environment(channel, hermitian_log2(environment_output(channel, rho)))
     )
     return 0.5 * (grad + grad.conj().T)
 
 
-def _mi_segment(channel: KrausChannel, base, direction):
-    """``t -> (f(t), f'(t))`` for the mutual information f along ``base + t * direction``.
+def _gibbs_tilt(h, constraint: EnergyConstraint, levels):
+    """``rho = exp(h - beta F) / Z`` at the least beta >= 0 with ``Tr rho F <= E``, and its exact log.
 
-    The input, output and environment states are affine in t, so both ends are
-    mapped once and a point costs three eigendecompositions.
-    """
-    ends = [0.5 * (x + x.conj().T) for x in (base, direction)]
-    ends = [(x, apply(channel, x), environment_output(channel, x)) for x in ends]
+    ``levels``: F's eigenvalues, ascending.  The energy's beta-slope is minus the Kubo-Mori variance
+    ``sum_ij |F_ij|^2 L(p_i, p_j) - mean^2`` in the eigenbasis of ``h - beta F`` (L: logarithmic mean).
+    A bound at the least level holds only as beta -> inf, where the energy is that level to rounding,
+    so the search aims up to rounding above it; with F = c I that makes every state feasible."""
+    f = constraint.operator
+    rounding = 4.0 * np.finfo(float).eps * len(levels) * float(np.abs(levels).max())
+    target = max(constraint.bound, levels[0] + rounding)
 
-    def point(t):
-        (s0, g0), (s1, g1), (s2, g2) = (_entropy_and_slope(b + t * d, d) for b, d in zip(*ends))
-        return s0 + s1 - s2, g0 + g1 - g2
+    def tilt(beta):
+        w, u = np.linalg.eigh(h - beta * f)
+        p = np.exp(w - w[-1])
+        z = p.sum()
+        p = p / z
+        fu = u.conj().T @ f @ u
+        mean = float(p @ fu.diagonal().real)
+        gap = np.abs(w[:, None] - w[None, :])  # L(p_i, p_j) = max(p_i, p_j) (1 - exp(-gap)) / gap
+        shrink = np.where(gap > 0.0, -np.expm1(-gap) / np.maximum(gap, 1e-300), 1.0)
+        variance = float((np.abs(fu) ** 2 * np.maximum(p[:, None], p[None, :]) * shrink).sum()) - mean * mean
+        return (beta, w[-1] + math.log(z), u, p), mean - target, -variance
 
-    return point
-
-
-def _segment_max(point, tol):
-    """Best ``(t, f(t))`` evaluated on [0, 1] for a concave f, ``point(t) = (f(t), f'(t))``.
-
-    Illinois regula falsi on the slope until the bracket is within ``tol``; each
-    step stays ``tol / 2`` inside it, and bisects when three steps did not halve it.
-    """
-    f0, s0 = point(0.0)
-    if s0 <= 0.0:
-        return 0.0, f0
-    f1, s1 = point(1.0)
-    if s1 >= 0.0:
-        return 1.0, f1
-    best, a, sa, b, sb = max((f0, 0.0), (f1, 1.0)), 0.0, s0, 1.0, s1
-    side, widths = 0, []
-    while b - a > tol and sb != 0.0:  # sb == 0: a step hit the root exactly
-        bisect = len(widths) >= 3 and b - a > 0.5 * widths[-3]
-        t = 0.5 * (a + b) if bisect else (a * sb - b * sa) / (sb - sa)
-        t = min(max(t, a + 0.5 * tol), b - 0.5 * tol)
-        widths.append(b - a)
-        ft, st = point(t)
-        best = max(best, (ft, t))
-        if st > 0.0:  # Illinois: halve the slope of an end kept twice running
-            a, sa, sb = t, st, sb * (0.5 if side > 0 else 1.0)
-        else:
-            b, sb, sa = t, st, sa * (0.5 if side < 0 else 1.0)
-        side = 1 if st > 0.0 else -1
-    return best[1], best[0]
-
-
-def _feasible_from(rho, constraint: EnergyConstraint) -> np.ndarray:
-    """Project a state into the feasible set by mixing toward least energy."""
-    if constraint.is_feasible(rho, slack=0.0):
-        return rho
-    w, u = hermitian_eig(constraint.operator)
-    ground = np.outer(u[:, -1], u[:, -1].conj())  # least-energy eigenvector
-    f_rho = constraint.energy(rho)
-    f_min = float(w[-1])
-    t = (f_rho - constraint.bound) / (f_rho - f_min)
-    t = min(max(t, 0.0), 1.0)
-    mixed = (1.0 - t) * rho + t * ground
-    return 0.5 * (mixed + mixed.conj().T)
-
-
-def _combine(atoms, weights):
-    rho = sum(w * a for w, a in zip(weights, atoms))
-    return 0.5 * (rho + rho.conj().T)
-
-
-def _frank_wolfe(channel, constraint, rho0, opts: OptimizerOptions):
-    """Conditional-gradient ascent with a corrective pairwise weight polish.
-
-    The iterate is kept as a convex combination of oracle atoms (each
-    feasible, so every iterate is feasible).  After the classic step toward
-    the new atom, mass is shuttled between existing atoms along the gradient,
-    which removes the zigzag stall of the plain method while leaving the
-    duality-gap certificate untouched.  Line searches map a segment's ends once
-    (:func:`_mi_segment`) and root-find the directional derivative ``Tr(grad f . Delta)``
-    (:func:`_segment_max`), which returns the best point evaluated, t = 0
-    included.  One ``(objective, energy)`` record per completed iteration is
-    returned as the trace.
-    """
-    d = channel.dim_in
-    eye = np.eye(d, dtype=complex) / d
-    atoms = [rho0]
-    weights = [1.0]
-    rho = rho0
-    best_val = mutual_information_value(channel, rho)
-    best_rho = rho
-    best_upper = math.inf
-    iterations = 0
-    stall = 0
-    trace = []
-
-    def line_search(base, direction, span, tol=opts.line_search_tol):
-        t, val = _segment_max(_mi_segment(channel, base, span * direction), tol)
-        return t * span, val
-
-    for k in range(opts.max_iterations):
-        iterations = k + 1
-        rho_eps = (1.0 - opts.epsilon) * rho + opts.epsilon * eye
-        grad = _mi_gradient(channel, rho_eps)
-        lin = feasible_linear_max(grad, constraint)
-        anchor = mutual_information_value(channel, rho_eps)
-        ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
-        best_upper = min(best_upper, anchor + max(ascent, 0.0))
-        if best_upper - best_val <= opts.gap_tolerance:
-            break
-
-        # classic step: mix the whole iterate toward the oracle atom
-        step, cur = line_search(rho, lin.state - rho, 1.0)
-        weights = [w * (1.0 - step) for w in weights]
-        atoms.append(lin.state)
-        weights.append(step)
-        rho = _combine(atoms, weights)
-
-        # corrective polish: shuttle weight from the worst atom to the best
-        for _ in range(_POLISH_STEPS):
-            grad_p = _mi_gradient(channel, (1.0 - opts.epsilon) * rho + opts.epsilon * eye)
-            scores = [float(np.trace(grad_p @ a).real) for a in atoms]
-            active = [i for i, w in enumerate(weights) if w > 1e-15]
-            i_to = max(range(len(atoms)), key=lambda i: scores[i])
-            i_from = min(active, key=lambda i: scores[i])
-            if scores[i_to] - scores[i_from] <= 1e-13:
-                break
-            shift, shift_val = line_search(
-                rho, atoms[i_to] - atoms[i_from], weights[i_from], tol=1e-6
-            )
-            if shift <= 0.0 or shift_val <= cur:
-                break
-            weights[i_from] -= shift
-            weights[i_to] += shift
-            rho = _combine(atoms, weights)
-            cur = shift_val
-
-        keep = [i for i, w in enumerate(weights) if w > 1e-15]
-        atoms = [atoms[i] for i in keep]
-        weights = [weights[i] for i in keep]
-        total = sum(weights)
-        weights = [w / total for w in weights]
-        rho = _combine(atoms, weights)
-
-        cur = mutual_information_value(channel, rho)
-        trace.append((cur, constraint.energy(rho)))
-        if cur > best_val + 1e-15:
-            best_val, best_rho = cur, rho
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 8:
-                break
-    return best_val, best_rho, best_upper, iterations, tuple(trace)
+    beta, log_z, u, p = _least_feasible_rate(tilt, 2.0 * rounding)
+    rho = (u * p) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T), h - beta * f - log_z * np.eye(len(p))
 
 
 def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: OptimizerOptions | None = None) -> CapacityResult:
     """Certified entanglement-assisted value: sup of mutual information.
 
-    Frank-Wolfe ascent on the concave objective, so from one start, with
-    the gradient evaluated at the boundary-regularized iterate; the returned
-    bracket is ``[value, value + gap]`` and is sound regardless of
-    convergence.  A non-converged run returns the last certified bracket
-    with ``converged=False`` rather than raising.
+    *Step.*  The iterate is kept as its log ``H = ln rho``, from the Gibbs state of F at the bound E
+    (the maximum-entropy feasible state).  A step is ``rho+ ~ exp(H + eta ln2 grad I(rho) - beta F)``
+    (grad in bits) at the least beta >= 0 with ``Tr rho+ F <= E`` (:func:`_gibbs_tilt`).
+    *Ascent.*  Each entropy obeys ``S(X) = S(X0) + <grad S(X0), X - X0> - D(X || X0)``; the
+    environment term has the favourable sign and ``D(Phi rho || Phi rho0) <= D(rho || rho0)``, so
+    ``I(rho) >= I(rho0) + <grad I(rho0), rho - rho0> - 2 D(rho || rho0)`` (nats).  eta = 1/2 maximizes
+    this minorant over the feasible set exactly and never lowers the value; each step first tries
+    twice the last eta, up to ``_MAX_STEP``, and halves it while the value drops.
+    *Certificate.*  By concavity ``I(rho_eps) + max_feasible <grad I(rho_eps), sigma - rho_eps>``, with
+    ``rho_eps = (1 - eps) rho + eps I/d`` and the max from :func:`feasible_linear_max`, bounds the
+    optimum.  The run stops once the least such bound is within ``gap_tolerance`` of the best iterate.
+    The bracket ``[value, value + gap]`` is sound regardless of convergence; a non-converged run
+    returns it with ``converged=False`` rather than raising.  ``trace`` has one ``(objective,
+    energy)`` record per completed iteration.
     """
     opts = opts or OptimizerOptions()
     if not isinstance(channel, KrausChannel):
@@ -442,11 +330,34 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
         raise ValidationError("constraint dimension does not match channel input")
     channel = _maybe_prune(channel)
     t0 = time.perf_counter()
+    d = channel.dim_in
+    levels = np.linalg.eigvalsh(constraint.operator)
+    rho, log_rho = _gibbs_tilt(np.zeros((d, d), dtype=complex), constraint, levels)
+    cur = mutual_information_value(channel, rho)
+    best_val, best_rho, upper, eta, trace = cur, rho, math.inf, 0.5, []
 
-    start = _feasible_from(np.eye(channel.dim_in, dtype=complex) / channel.dim_in, constraint)
-    best_val, best_rho, upper, iterations, trace = _frank_wolfe(channel, constraint, start, opts)
+    for iterations in range(1, opts.max_iterations + 1):
+        rho_eps = (1.0 - opts.epsilon) * rho + opts.epsilon * np.eye(d) / d
+        grad = _mi_gradient(channel, rho_eps)
+        lin = feasible_linear_max(grad, constraint)
+        ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
+        upper = min(upper, mutual_information_value(channel, rho_eps) + max(ascent, 0.0))
+        if upper - best_val <= opts.gap_tolerance:
+            break
+        step = LN2 * _mi_gradient(channel, rho, log_rho / LN2)  # nats, with the exact ln rho
+        eta = min(2.0 * eta, _MAX_STEP)
+        while True:
+            cand_rho, cand_log = _gibbs_tilt(log_rho + eta * step, constraint, levels)
+            cand = mutual_information_value(channel, cand_rho)
+            if cand >= cur or eta <= 0.5:
+                break
+            eta *= 0.5
+        rho, log_rho, cur = cand_rho, cand_log, cand
+        trace.append((cur, constraint.energy(rho)))
+        if cur > best_val:
+            best_val, best_rho = cur, rho
+
     gap = max(upper - best_val, 0.0)
-
     if not constraint.is_feasible(best_rho):
         raise ValidationError("optimizer left the feasible set")  # guards the certificate
     return CapacityResult(
@@ -457,18 +368,39 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
         converged=gap <= opts.gap_tolerance,
-        trace=trace,
+        trace=tuple(trace),
     )
 
 
-def _retilt(weights, energies, bound):
-    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible.
+def _least_feasible_rate(tilt, rounding: float):
+    """Least rate beta >= 0 at which ``tilt(beta) -> (state, excess, slope)`` has ``excess <= 0``.
 
-    Newton steps from beta = 0 (the mean energy's slope is minus its variance) inside the bracket
-    of infeasible and feasible rates; a step after two landings on one side is doubled, so both
-    ends close in.  Stops at a feasible rate whose mean energy is the bound to rounding, or at
-    adjacent-float bracket ends, and returns the weights at the feasible end.
+    The excess falls in beta with derivative ``slope``.  Newton steps from beta = 0 inside the bracket
+    of infeasible and feasible rates; a step after two landings on one side is doubled, so both ends
+    close in.  Stops at a feasible rate whose excess is zero to ``rounding``, or at adjacent-float
+    bracket ends, and returns the state at the feasible end.
     """
+    lo, hi, state_hi, beta, same_side = 0.0, math.inf, None, 0.0, False
+    state, excess, slope = tilt(beta)
+    if excess <= 0.0:
+        return state
+    while lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
+        t = beta - (2.0 if same_side else 1.0) * excess / slope if slope < 0.0 else mid
+        if not lo < t < hi:
+            t = mid
+        state, excess_t, slope = tilt(t)
+        same_side, beta, excess = (excess_t <= 0.0) == (excess <= 0.0), t, excess_t
+        if excess > 0.0:
+            lo = t
+        else:
+            hi, state_hi = t, state
+            if excess >= -rounding:
+                break
+    return state if state_hi is None else state_hi
+
+
+def _retilt(weights, energies, bound):
+    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible."""
     w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
     w = w / w.sum()
     f = np.asarray(energies, dtype=float)
@@ -476,29 +408,14 @@ def _retilt(weights, energies, bound):
         return w
     if float(f.min()) > bound + 1e-12:
         raise ValidationError("no re-tilt can restore feasibility")
-    rounding = 4.0 * np.finfo(float).eps * float(np.abs(f).max())
 
     def tilt(beta):
         p = w * np.exp(-beta * (f - f.min()))
         p = p / p.sum()
         mean = float(p @ f)
-        return p, mean - bound, float(p @ (f - mean) ** 2)
+        return p, mean - bound, -float(p @ (f - mean) ** 2)
 
-    lo, hi, p_hi, beta, same_side = 0.0, math.inf, None, 0.0, False
-    p, excess, var = tilt(beta)
-    while lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
-        t = beta + (2.0 if same_side else 1.0) * excess / var if var > 0.0 else mid
-        if not lo < t < hi:
-            t = mid
-        p, excess_t, var = tilt(t)
-        same_side, beta, excess = (excess_t <= 0.0) == (excess <= 0.0), t, excess_t
-        if excess > 0.0:
-            lo = t
-        else:
-            hi, p_hi = t, p
-            if excess >= -rounding:
-                break
-    return p if p_hi is None else p_hi
+    return _least_feasible_rate(tilt, 4.0 * np.finfo(float).eps * float(np.abs(f).max()))
 
 
 def _pure_images(kraus, vectors):

@@ -28,6 +28,7 @@ from .linalg import (
     HERMITICITY_TOL,
     LN2,
     PSD_TOL,
+    TRACE_TOL,
     _log2_from_eig,
     assert_density_operator,
     assert_hermitian,
@@ -96,17 +97,10 @@ def _xlogx(w):
 def _spectrum_entropy(w, homogeneous: bool = True):
     """``-sum w log2 w`` over the last axis of clipped spectra of trace t <= 1, plus ``t log2 t`` if ``homogeneous``."""
     t = w.sum(axis=-1)
-    if not t.max(initial=0.0) <= 1.0 + 1e-10:
+    if not t.max(initial=0.0) <= 1.0 + TRACE_TOL:
         raise ValidationError(f"trace {float(t.max())!r} exceeds 1")
     raw = -_xlogx(w)
     return raw + t * np.log2(np.maximum(t, _LOG_FLOOR)) if homogeneous else raw
-
-
-def _entropy_and_slope(m, d):
-    """:func:`entropy` of ``m`` and its derivative ``-Tr(d log2 m)`` along a traceless ``d``."""
-    w, u = _spectra(m, vectors=True)
-    d_diag = np.einsum("ij,ij->j", u.conj(), d @ u).real
-    return float(_spectrum_entropy(w)), -float(np.log2(np.maximum(w, _LOG_FLOOR)) @ d_diag)
 
 
 def _member_terms(images, avg, cap: float):

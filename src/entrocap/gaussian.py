@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import KrausChannel
 from .errors import ValidationError
@@ -161,6 +160,8 @@ def classify_gaussian(params: GaussianChannelParams, tol: float = 1e-12, rank_to
 
 def random_symplectic(dim: int, seed=0, scale: float = 0.4) -> np.ndarray:
     """Random symplectic matrix exp(Delta Q) with Q symmetric Gaussian."""
+    from scipy.linalg import expm  # imported here: it is most of the package's import time
+
     if dim < 2 or dim % 2:
         raise ValidationError("dimension must be even")
     rng = np.random.default_rng(seed)

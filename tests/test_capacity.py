@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from entrocap import (
     fock_attenuator,
     hermitian_eig,
     identity_channel,
+    minimize_kraus,
     mutual_information,
     number_operator,
     replacement_channel,
@@ -32,6 +34,7 @@ from entrocap import (
     sample_state,
     tensor,
     thermal_state,
+    truncate,
     truncation_convergence,
 )
 from entrocap import capacity
@@ -178,13 +181,15 @@ class TestFeasibleLinearMax:
         con = EnergyConstraint(number_operator(n), 1.0)
         grad = capacity._mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
         calls = []
+        eigh = np.linalg.eigh
 
         def counting_eig(a, *args, **kwargs):
             calls.append(a)
-            return hermitian_eig(a, *args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(capacity, "hermitian_eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eig)
         res = feasible_linear_max(grad, con)
+        monkeypatch.undo()
         assert res.multiplier > 0.0
         assert len(calls) <= 80
         # the multiplier is one ulp tight: just below it the top eigenvector is infeasible
@@ -264,69 +269,151 @@ class TestCeaCapacity:
         assert res.value <= closed_form <= res.value + res.gap
 
 
-class TestLineSearch:
-    """The Frank-Wolfe line search: affine channel images and a root-find on the slope."""
+class TestMirrorAscent:
+    """The mirror-ascent engine: Gibbs start, adaptive Bregman step and the matrix beta search."""
 
-    CHANNEL = sample_channel(3, 3, 2, seed=40)
-    FULL_RANK = sample_state(3, seed=41)
-    PURE = sample_state(3, rank=1, seed=42)
+    @staticmethod
+    def closed_form():
+        def g(x):
+            return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
-    def test_segment_matches_mutual_information(self):
-        from entrocap.capacity import _mi_segment, mutual_information_value
+        return g(1.0) + g(0.6) - g(0.4)
 
-        base, direction = self.FULL_RANK, self.PURE - self.FULL_RANK
-        point = _mi_segment(self.CHANNEL, base, direction)
-        for t in (0.0, 0.37, 1.0):
-            exact = mutual_information_value(self.CHANNEL, base + t * direction)
-            assert abs(point(t)[0] - exact) <= 1e-12
-        h = 1e-6
-        numeric = (point(0.37 + h)[0] - point(0.37 - h)[0]) / (2 * h)
-        assert abs(point(0.37)[1] - numeric) <= 1e-6
+    def test_rank_deficient_optimum(self):
+        # rank-2 truncation of the cq qutrit: input 2 lands on input 0's output at twice the
+        # energy, so the optimum diag(1/2, 1/2, 0) has a kernel and the value is 1 bit
+        tau = basis_state(3, 0)
+        chan = minimize_kraus(truncate(CQ_QUTRIT, 2, tau))
+        res = cea_capacity(chan, CQ_CONSTRAINT)
+        assert res.converged
+        assert res.iterations <= 20
+        assert res.value - 1e-12 <= 1.0 <= res.value + res.gap
+        assert np.abs(res.optimizer - np.diag([0.5, 0.5, 0.0])).max() <= 1e-3
 
-    def _search(self, base, end):
-        from entrocap.capacity import _mi_segment, _segment_max, mutual_information_value
+    def test_attenuator_cutoff_40(self):
+        n = 40
+        t0 = time.perf_counter()
+        res = cea_capacity(fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0))
+        elapsed = time.perf_counter() - t0
+        assert res.converged
+        assert res.value - 1e-12 <= self.closed_form() <= res.value + res.gap
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
-        direction = end - base
-        t, value = _segment_max(_mi_segment(self.CHANNEL, base, direction), 1e-10)
-        assert abs(value - mutual_information_value(self.CHANNEL, base + t * direction)) <= 1e-12
-        grid = max(
-            mutual_information_value(self.CHANNEL, base + s * direction)
-            for s in np.linspace(0.0, 1.0, 201)
-        )
-        assert value >= grid - 1e-10
-        return t
+    def test_attenuator_cutoff_20_iterations(self):
+        # the Gibbs start is the thermal state, the cutoff-free optimum
+        n = 20
+        res = cea_capacity(fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0))
+        assert res.converged
+        assert res.iterations <= 5
 
-    def _interior_maximizer(self):
-        t = self._search(self.FULL_RANK, self.PURE)
-        assert 0.05 < t < 0.95
-        return self.FULL_RANK + t * (self.PURE - self.FULL_RANK)
+    @staticmethod
+    def random_problem(rng):
+        d = int(rng.integers(2, 6))
+        h = sample_hermitian(d, seed=int(rng.integers(0, 2**31)), scale=2.0)
+        f_raw = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+        f = f_raw @ f_raw.conj().T / d
+        levels = np.linalg.eigvalsh(f)
+        return h, f, levels
 
-    def test_interior_maximum(self):
-        self._interior_maximizer()
+    @staticmethod
+    def gibbs(h, f, beta):
+        w, u = np.linalg.eigh(h - beta * f)
+        p = np.exp(w - w.max())
+        rho = (u * (p / p.sum())) @ u.conj().T
+        return rho, float(np.trace(rho @ f).real)
 
-    def test_maximum_at_start(self):
-        peak = self._interior_maximizer()
-        past_peak = peak + 0.05 * (self.PURE - self.FULL_RANK)
-        assert self._search(past_peak, self.PURE) == 0.0
+    def test_beta_search_matches_bisection(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            h, f, levels = self.random_problem(rng)
+            bound = float(rng.uniform(levels[0], levels[-1]))
+            con = EnergyConstraint(f, bound)
+            rho, log_rho = capacity._gibbs_tilt(h, con, levels)
+            # reference: the least feasible rate by a 200-step bisection
+            lo, hi = 0.0, 1.0
+            while self.gibbs(h, f, hi)[1] > bound:
+                lo, hi = hi, 2.0 * hi
+            if self.gibbs(h, f, 0.0)[1] <= bound:
+                hi = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if self.gibbs(h, f, mid)[1] <= bound else (mid, hi)
+            assert con.energy(rho) <= bound + 1e-12
+            assert np.abs(rho - self.gibbs(h, f, hi)[0]).max() <= 1e-9
+            w, u = np.linalg.eigh(log_rho)  # the log is exact: exp(log_rho) = rho, unit trace
+            assert np.abs((u * np.exp(w)) @ u.conj().T - rho).max() <= 1e-12
 
-    def test_maximum_at_end(self):
-        peak = self._interior_maximizer()
-        past_peak = peak + 0.05 * (self.PURE - self.FULL_RANK)
-        assert self._search(self.PURE, past_peak) == 1.0
+    def test_energy_slope_is_minus_kubo_mori_variance(self, monkeypatch):
+        # capture the tilt callback the beta search is given and difference its energy excess
+        tilts = []
+        search = capacity._least_feasible_rate
 
-    def test_rank_deficient_base(self):
-        from entrocap.capacity import _mi_segment
+        def spy(tilt, rounding):
+            tilts.append(tilt)
+            return search(tilt, rounding)
 
-        # the input entropy's slope diverges at t = 0 (finite only through the log floor)
-        assert _mi_segment(self.CHANNEL, self.PURE, self.FULL_RANK - self.PURE)(0.0)[1] > 100.0
-        t = self._search(self.PURE, self.FULL_RANK)
-        assert 0.0 < t < 1.0
+        monkeypatch.setattr(capacity, "_least_feasible_rate", spy)
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            h, f, levels = self.random_problem(rng)
+            tilts.clear()
+            capacity._gibbs_tilt(h, EnergyConstraint(f, float(levels[0] + 0.1 * (levels[-1] - levels[0]))), levels)
+            beta, step = float(rng.uniform(0.0, 2.0)), 1e-6
+            _, _, slope = tilts[0](beta)
+            numeric = (tilts[0](beta + step)[1] - tilts[0](beta - step)[1]) / (2 * step)
+            assert slope < 0.0
+            assert abs(numeric - slope) <= 1e-6 * max(1.0, abs(slope))
 
-    def test_quadratic(self):
-        from entrocap.capacity import _segment_max
+    def test_bound_met_with_equality_by_every_state(self):
+        # F = I, E = 1: every state is feasible although its computed energy may round above 1
+        h = sample_hermitian(3, seed=23)
+        con = EnergyConstraint(np.eye(3), 1.0)
+        rho, _ = capacity._gibbs_tilt(h, con, np.ones(3))
+        assert np.abs(rho - self.gibbs(h, np.eye(3), 0.0)[0]).max() <= 1e-12
 
-        t, value = _segment_max(lambda s: (-((s - 0.3) ** 2), -2.0 * (s - 0.3)), 1e-10)
-        assert abs(t - 0.3) <= 1e-10 and value >= -1e-20
+    def test_bound_at_least_level(self):
+        # only the ground space of F is feasible; it is reached in the limit of large beta
+        f = sample_state(3, seed=24) * 3.0
+        levels = np.linalg.eigvalsh(f)
+        f = f - levels[0] * np.eye(3)
+        chan = sample_channel(3, 3, 2, seed=25)
+        res = cea_capacity(chan, EnergyConstraint(f, 0.0))
+        assert res.converged
+        assert res.value - 1e-9 <= 0.0 <= res.value + res.gap
+
+    def test_iterates_feasible_and_nondecreasing(self):
+        rng = np.random.default_rng(26)
+        for _ in range(8):
+            d = int(rng.integers(2, 5))
+            chan = sample_channel(d, d, int(rng.integers(1, 4)), seed=int(rng.integers(0, 2**31)))
+            f_raw = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+            f = f_raw @ f_raw.conj().T / d  # does not commute with the channel's structure
+            levels = np.linalg.eigvalsh(f)
+            con = EnergyConstraint(f, float(levels[0] + rng.uniform(0.1, 0.9) * (levels.mean() - levels[0])))
+            res = cea_capacity(chan, con, OptimizerOptions(max_iterations=60))
+            values = [v for v, _ in res.trace]
+            assert all(energy <= con.bound + 1e-12 for _, energy in res.trace)
+            assert all(b >= a for a, b in zip(values, values[1:]))
+            assert res.value == max([*values, res.value])
+
+    def test_asymmetric_constraint_operator_accepted(self):
+        # an asymmetry within the Hermiticity tolerance is stored symmetrized
+        f = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        f[0, 1] = 5e-11
+        con = EnergyConstraint(f, 0.5)
+        assert np.array_equal(con.operator, con.operator.conj().T)
+        res = cea_capacity(identity_channel(3), con)
+        assert res.converged
+
+    def test_asymmetric_objective_accepted(self):
+        # an asymmetry within the oracle's 1e-8 tolerance is resolved to the Hermitian part
+        g = np.diag([1.0, 0.5, 2.0]).astype(complex)
+        g[0, 1] = 5e-9
+        res = feasible_linear_max(g, CQ_CONSTRAINT)
+        hermitian = feasible_linear_max(0.5 * (g + g.conj().T), CQ_CONSTRAINT)
+        assert res.gap <= 1e-9
+        assert np.array_equal(res.state, hermitian.state)
+        assert CQ_CONSTRAINT.is_feasible(res.state, slack=1e-9)
 
 
 class TestGradientAudits:

@@ -11,11 +11,13 @@ from entrocap import (
     dephasing_channel,
     depolarizing_channel,
     dual_apply,
+    entropy,
     environment_output,
     identity_channel,
     is_cq,
     is_cq_discrete,
     minimize_kraus,
+    mutual_information,
     partial_trace,
     replacement_channel,
     restrict,
@@ -29,6 +31,8 @@ from entrocap import (
     truncate,
     unitary_channel,
 )
+
+from entrocap.channels import CHANNEL_TOL
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -62,6 +66,19 @@ class TestConstruction:
     def test_operation_rejects_trace_increase(self):
         with pytest.raises(ValidationError):
             QuantumOperation((np.diag([1.0, 1.5]),))
+
+    def test_trace_excess_beyond_entropy_slack_rejected(self):
+        # images of such a family have trace 1 + 8e-10, above the entropies' 1 + 1e-10
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            KrausChannel((np.sqrt(1.0 + 8e-10) * np.eye(2),))
+
+    def test_largest_accepted_excess_is_evaluable(self):
+        # an accepted family's images stay valid entropy arguments
+        chan = KrausChannel((np.sqrt(1.0 + 0.99 * CHANNEL_TOL) * np.eye(2),))
+        image = apply(chan, np.eye(2) / 2)
+        assert float(np.trace(image).real) > 1.0
+        assert abs(entropy(image) - 1.0) <= 1e-9
+        assert abs(mutual_information(np.eye(2) / 2, chan, route="entropies") - 2.0) <= 1e-9
 
     @pytest.mark.parametrize("cls", [KrausChannel, QuantumOperation])
     def test_nan_entry_rejected(self, cls):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+import entrocap
 
 from entrocap import (
     GaussianChannelParams,
@@ -90,6 +96,14 @@ class TestClassification:
 
 
 class TestSymplectics:
+    def test_package_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is imported by random_symplectic, its only user, when first called
+        code = "import sys, entrocap; print('scipy.linalg' in sys.modules)"
+        src = str(Path(entrocap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
     def test_random_symplectic_preserves_form(self):
         delta = standard_symplectic_form(2)
         s = random_symplectic(4, seed=3)
