@@ -33,7 +33,7 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, _member_terms, _spectra, _spectrum_entropy, chi_through, entropy
+from .entropy import Ensemble, _member_terms, _rowdot, _spectra, _spectrum_entropy, chi_through, entropy
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
     LN2,
@@ -187,10 +187,14 @@ class LinearMaxResult:
     multiplier: float
 
 
-def _min_energy_vector(g_w, g_u, f, cluster_tol=1e-10):
+def _cluster_width(g_w):
+    """How far below the top eigenvalue an eigenvalue still counts as tied with it."""
+    return 1e-10 * max(1.0, float(np.abs(g_w).max()))
+
+
+def _min_energy_vector(g_w, g_u, f):
     """Least-energy unit vector inside the top eigenspace of a Hermitian matrix (eigenvalues descending)."""
-    scale = max(1.0, float(np.abs(g_w).max()))
-    mask = g_w >= g_w[0] - cluster_tol * scale
+    mask = g_w >= g_w[0] - _cluster_width(g_w)
     if mask.sum() == 1:
         v = g_u[:, 0]
         return v, float(np.vdot(v, f @ v).real)
@@ -204,10 +208,15 @@ def _min_energy_vector(g_w, g_u, f, cluster_tol=1e-10):
 def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     """Maximize Tr(G sigma) over feasible states, certified to ~1e-10.
 
-    Lagrangian bisection on the multiplier: the maximizer of ``G - lam F``
+    Lagrangian search on the multiplier: the maximizer of ``G - lam F``
     over states is its top eigenvector; the feasible optimum is either the
     unconstrained one or a two-point mixture at the active breakpoint, and
-    complementary slackness bounds the optimality gap.
+    complementary slackness bounds the optimality gap.  The search probes
+    where the lines ``<v|G - lam F|v>`` of the bracket ends' vectors meet
+    (tangents of the convex ``lam_max(G - lam F)``), or come within the tie
+    width of :func:`_min_energy_vector`; that finds the breakpoint in a few
+    eigensolves when the top eigenvector switches there.  Midpoints guard
+    the search, which ends at adjacent floats like a bisection.
     """
     f, e = constraint.operator, constraint.bound
     g = assert_hermitian(g, tol=1e-8, name="objective")
@@ -220,31 +229,53 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
         w, u = np.linalg.eigh(g - lam * f)
         w, u = w[::-1], u[:, ::-1]
         v, fval = _min_energy_vector(w, u, f)
-        return v, fval, float(w[0])
+        return v, fval, float(w[0]), float(np.vdot(v, g @ v).real), _cluster_width(w)
 
-    v0, f0, top0 = probe(0.0)
+    v0, f0, top0, c0, _ = probe(0.0)
     if f0 <= e + slack:
-        sigma = np.outer(v0, v0.conj())
-        value = float(np.vdot(v0, g @ v0).real)
-        return LinearMaxResult(sigma, value, max(top0 - value, 0.0), 0.0)
+        return LinearMaxResult(np.outer(v0, v0.conj()), c0, max(top0 - c0, 0.0), 0.0)
 
-    # double the multiplier from 1 (up to 2^127) until feasible, then bisect until lam_lo and lam_hi
-    # are adjacent floats; ties resolved toward the smaller multiplier: "feasible" shrinks lam_hi
-    lam_lo, v_lo, f_lo, lam_hi, v_hi = 0.0, v0, f0, 2.0**128, None
-    while lam_lo < (mid := max(2.0 * lam_lo, 1.0) if v_hi is None else 0.5 * (lam_lo + lam_hi)) < lam_hi:
-        v, fval, top = probe(mid)
-        if fval <= e + slack:
-            lam_hi, v_hi, f_hi, top_hi = mid, v, fval, top
+    # Double the multiplier from 1 (up to 2^127) until feasible.  A probe's vector v has the line
+    # <v|g - lam F|v> = c - lam f, a tangent of lam_max(g - lam F) unless v was picked from a tie.  Probe
+    # where the lines of lam_lo and lam_hi meet (a kink); if that is at or above lam_hi, the least feasible
+    # multiplier is where lam_lo's line comes within lam_hi's tie width.  A midpoint follows a probe that
+    # did not halve the bracket.  Once the target lies at an end to within its rounding, step from the last
+    # probe by 1, 8, 64, ... times that rounding, never past the midpoint, to adjacent floats.  "Feasible"
+    # shrinks lam_hi, so ties go to the smaller multiplier.
+    lam_lo, v_lo, f_lo, c_lo, lam_hi, v_hi = 0.0, v0, f0, c0, 2.0**128, None
+    step, feasible, width = 0.0, False, math.inf
+    while True:
+        mid = 0.5 * (lam_lo + lam_hi)
+        if v_hi is None:
+            t = max(2.0 * lam_lo, 1.0)
+        elif not step:
+            slope = f_lo - f_hi  # > 0: lam_lo is infeasible, lam_hi feasible
+            t = (c_lo - c_hi) / slope
+            rounding = float(np.finfo(float).eps) * (abs(c_lo) + abs(c_hi) + lam_hi * (f_lo + f_hi)) / slope
+            if t > lam_hi - rounding:
+                t -= tie_hi / slope
+            if not lam_lo + rounding < t < lam_hi - rounding:
+                step = max(float(np.spacing(lam_hi)), rounding)
+            elif lam_hi - lam_lo > 0.5 * width:
+                t = mid
+            width = lam_hi - lam_lo
+        if step:
+            t = max(lam_hi - step, mid) if feasible else min(lam_lo + step, mid)
+            step *= 8.0
+        if v_hi is not None and not lam_lo < t < lam_hi:
+            t = mid
+        if not lam_lo < t < lam_hi:
+            break
+        v, fval, top, c, tie = probe(t)
+        feasible = fval <= e + slack
+        if feasible:
+            lam_hi, v_hi, f_hi, top_hi, c_hi, tie_hi = t, v, fval, top, c, tie
         else:
-            lam_lo, v_lo, f_lo = mid, v, fval
+            lam_lo, v_lo, f_lo, c_lo = t, v, fval, c
     if v_hi is None:
         raise ValidationError("constraint bound unreachable by Lagrangian sweep")
 
-    if f_lo > f_hi + 1e-300:
-        t = (e - f_hi) / (f_lo - f_hi)
-    else:
-        t = 0.0
-    t = min(max(t, 0.0), 1.0)
+    t = min(max((e - f_hi) / (f_lo - f_hi), 0.0), 1.0)  # f_lo > e + slack >= f_hi
     sigma = t * np.outer(v_lo, v_lo.conj()) + (1.0 - t) * np.outer(v_hi, v_hi.conj())
     sigma = 0.5 * (sigma + sigma.conj().T)
     value = float(np.trace(g @ sigma).real)
@@ -408,9 +439,10 @@ def _retilt(weights, energies, bound):
         return w
     if float(f.min()) > bound + 1e-12:
         raise ValidationError("no re-tilt can restore feasibility")
+    above = f - f.min()
 
     def tilt(beta):
-        p = w * np.exp(-beta * (f - f.min()))
+        p = w * np.exp(-beta * above)
         p = p / p.sum()
         mean = float(p @ f)
         return p, mean - bound, -float(p @ (f - mean) ** 2)
@@ -419,16 +451,17 @@ def _retilt(weights, energies, bound):
 
 
 def _pure_images(kraus, vectors):
-    """Amplitudes ``A[i, :, k] = K_k v_i`` and images ``A_i A_i†`` of the pure states in the rows of ``vectors``."""
-    amps = np.einsum("kba,ia->ibk", kraus, vectors)
+    """Amplitudes ``A[..., i, :, k] = K_k v_i`` and images ``A_i A_i†`` of the pure states in the rows of
+    ``vectors`` ``(..., m, d)``."""
+    amps = np.einsum("kba,...ia->...ibk", kraus, vectors)
     return amps, amps @ amps.conj().swapaxes(-1, -2)
 
 
 def _pure_chi(kraus, weights, vectors):
-    """chi of a pure-state ensemble through a channel, entropy-difference form."""
+    """chi of pure-state ensembles ``(..., m)``, ``(..., m, d)`` through a channel, entropy-difference form."""
     images = _pure_images(kraus, vectors)[1]
-    avg = np.einsum("i,ibc->bc", weights, images)
-    return entropy(avg) - float(weights @ _spectrum_entropy(_spectra(images, "ensemble image")))
+    avg = np.einsum("...i,...ibc->...bc", weights, images)
+    return _spectrum_entropy(_spectra(avg)) - _rowdot(weights, _spectrum_entropy(_spectra(images, "ensemble image")))
 
 
 def chi_capacity(
@@ -442,12 +475,15 @@ def chi_capacity(
     Alternates a Blahut-Arimoto style weight update (with a Gibbs re-tilt to
     keep the average state feasible) with projected gradient steps on the
     pure members; multi-start, merged by best value.  No optimality claim.
-    The members are the rows of one ``(m, d)`` array, so a step maps them
-    with one einsum and diagonalizes their images with one batched
-    eigensolver call.  A restart stops once its best value has gained at
-    most 1e-12 over ``_CHI_STALL_STEPS`` iterations, or after
-    ``opts.max_iterations``.  ``iterations`` sums the steps the restarts
-    took; ``converged`` means the winning restart stopped on the stall test.
+    The members of every running restart are the rows of one ``(restarts, m, d)``
+    stack, so a step maps them with one einsum and diagonalizes all their
+    images with one batched eigensolver call; the weight re-tilt runs per
+    restart, and accept/reject masks update each restart's own step, best
+    value and stall history, so each restart follows its sequential path.
+    A restart leaves the stack once its best value has gained at most 1e-12
+    over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
+    ``iterations`` sums the steps the restarts took; ``converged`` means the
+    winning restart stopped on the stall test; ties go to the lower restart.
     """
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
     if channel.dim_in != constraint.dim:
@@ -462,9 +498,9 @@ def chi_capacity(
     fw, fu = hermitian_eig(f_op)
 
     def energies_of(vectors):
-        return np.einsum("ia,ab,ib->i", vectors.conj(), f_op, vectors).real
+        return np.einsum("...ia,ab,...ib->...i", vectors.conj(), f_op, vectors).real
 
-    def run(restart: int):
+    def start(restart: int):
         rng = np.random.default_rng(opts.seed + restart)
         k0 = min(m, d) if restart == 0 else 0
         rows = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(m - k0)]
@@ -472,43 +508,57 @@ def chi_capacity(
         energies = energies_of(vecs)
         if energies.min() > bound:
             vecs[-1], energies[-1] = fu[:, -1], float(fw[-1])
-        weights = _retilt(np.full(m, 1.0 / m), energies, bound)
+        return vecs, energies, _retilt(np.full(m, 1.0 / m), energies, bound)
 
-        best = _pure_chi(kraus, weights, vecs)
-        best_state, history, step = (weights, vecs), [best], 0.25
-        for taken in range(1, opts.max_iterations + 1):
-            # (a) weight update toward the exponential-tilt fixed point
-            amps, images = _pure_images(kraus, vecs)
-            avg = np.einsum("i,ibc->bc", weights, images)
-            scores, member_entropies, logs = _member_terms(images, avg, _RELENT_CAP_BITS)
-            weights = np.clip(weights * np.exp2(scores - scores.max()), 1e-300, None)
-            weights = _retilt(weights / weights.sum(), energies, bound)
+    # per running restart: members, energies, weights, best value and state, step, restart index
+    vecs, energies, weights = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
+    best = _pure_chi(kraus, weights, vecs)
+    best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
+    history, outcomes = [best], []
+    for taken in range(1, opts.max_iterations + 1):
+        # (a) weight update toward the exponential-tilt fixed point
+        amps, images = _pure_images(kraus, vecs)
+        avg = np.einsum("...i,...ibc->...bc", weights, images)
+        scores, member_entropies, logs = _member_terms(images, avg, _RELENT_CAP_BITS)
+        weights = np.clip(weights * np.exp2(scores - scores.max(axis=-1, keepdims=True)), 1e-300, None)
+        weights = np.array([_retilt(w / w.sum(), e, bound) for w, e in zip(weights, energies)])
 
-            # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
-            avg = np.einsum("i,ibc->bc", weights, images)
-            y = np.einsum("kba,ibk->ia", kraus.conj(), (logs - hermitian_log2(avg)) @ amps)
-            y -= np.einsum("ia,ia->i", vecs.conj(), y)[:, None] * vecs
-            cand = vecs + step * y
-            cand = np.where(weights[:, None] > 1e-14, cand / np.linalg.norm(cand, axis=1, keepdims=True), vecs)
-            cand_energies = energies_of(cand)
-            gain = -math.inf
-            if cand_energies.min() <= bound:
-                cand_weights = _retilt(weights, cand_energies, bound)
-                gain = _pure_chi(kraus, cand_weights, cand)
-            if gain >= best - 1e-12:
-                vecs, energies, weights, cur = cand, cand_energies, cand_weights, gain
-                step = min(step * 1.25, 4.0)
-            else:
-                step = max(step * 0.5, 1e-4)
-                cur = entropy(avg) - float(weights @ member_entropies)
-            if cur > best:
-                best, best_state = cur, (weights, vecs)
-            history.append(best)
-            if taken >= _CHI_STALL_STEPS and best - history[-1 - _CHI_STALL_STEPS] <= 1e-12:
-                return best, best_state, taken, True
-        return best, best_state, opts.max_iterations, False
-
-    outcomes = [(*run(r), r) for r in range(opts.restarts)]
+        # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
+        avg = np.einsum("...i,...ibc->...bc", weights, images)
+        q, v = _spectra(avg, "average image", vectors=True)
+        y = np.einsum("kba,...ibk->...ia", kraus.conj(), (logs - _log2_from_eig(q, v)[:, None]) @ amps)
+        y -= np.einsum("...ia,...ia->...i", vecs.conj(), y)[..., None] * vecs
+        cand = vecs + step[:, None, None] * y
+        cand = np.where(weights[..., None] > 1e-14, cand / np.linalg.norm(cand, axis=-1, keepdims=True), vecs)
+        cand_energies = energies_of(cand)
+        feasible = cand_energies.min(axis=-1) <= bound
+        cand_weights, gain = weights.copy(), np.full(len(ids), -math.inf)
+        for r in np.flatnonzero(feasible):
+            cand_weights[r] = _retilt(weights[r], cand_energies[r], bound)
+        if feasible.any():
+            gain[feasible] = _pure_chi(kraus, cand_weights[feasible], cand[feasible])
+        accept = gain >= best - 1e-12
+        cur = np.where(accept, gain, _spectrum_entropy(q) - _rowdot(weights, member_entropies))
+        vecs = np.where(accept[:, None, None], cand, vecs)
+        energies = np.where(accept[:, None], cand_energies, energies)
+        weights = np.where(accept[:, None], cand_weights, weights)
+        step = np.where(accept, np.minimum(step * 1.25, 4.0), np.maximum(step * 0.5, 1e-4))
+        improved = cur > best
+        best = np.where(improved, cur, best)
+        best_w = np.where(improved[:, None], weights, best_w)
+        best_v = np.where(improved[:, None, None], vecs, best_v)
+        history = [*history[-_CHI_STALL_STEPS:], best]
+        stalled = (best - history[0] <= 1e-12) & (taken >= _CHI_STALL_STEPS)
+        done = stalled | (taken == opts.max_iterations)
+        outcomes += [(best[i], (best_w[i], best_v[i]), taken, bool(stalled[i]), ids[i]) for i in np.flatnonzero(done)]
+        if done.any():  # finished restarts leave the stack
+            keep = ~done
+            vecs, energies, weights, best, best_w, best_v, step, ids = (
+                a[keep] for a in (vecs, energies, weights, best, best_w, best_v, step, ids)
+            )
+            history = [h[keep] for h in history]
+            if not len(ids):
+                break
     _, (weights, vecs), _, converged, _ = max(outcomes, key=lambda o: (o[0], -o[4]))
 
     mu = Ensemble(weights, tuple(np.outer(v, v.conj()) for v in vecs))

@@ -104,14 +104,20 @@ def _spectrum_entropy(w, homogeneous: bool = True):
 
 
 def _member_terms(images, avg, cap: float):
-    """Per member of a stack of states, from one :func:`_spectra` call: the relative entropy to
-    ``avg`` capped at ``cap`` bits (``cap`` where :func:`relative_entropy` is inf), the entropy,
-    and the log2 matrix (eigenvalues floored at 1e-30 as in ``hermitian_log2``)."""
+    """Per member of a stack ``(..., m, d, d)`` of states, from one :func:`_spectra` call: the relative
+    entropy to its ``avg`` ``(..., d, d)`` capped at ``cap`` bits (``cap`` where :func:`relative_entropy`
+    is inf), the entropy, and the log2 matrix (eigenvalues floored at 1e-30 as in ``hermitian_log2``)."""
     p, u = _spectra(images, "ensemble image", vectors=True)
     q, v = _spectra(avg, "average image", vectors=True)
-    weight = np.einsum("ijl,il->ij", np.abs(v.conj().T @ u) ** 2, p)  # <v_j|images[i]|v_j>
-    relent = _relative_entropy_tail(p, q, weight, SUPPORT_TOL, SUPPORT_TOL)
+    overlap = np.abs(v.conj().swapaxes(-1, -2)[..., None, :, :] @ u) ** 2
+    weight = np.einsum("...ijl,...il->...ij", overlap, p)  # <v_j|images[i]|v_j>
+    relent = _relative_entropy_tail(p, q[..., None, :], weight, SUPPORT_TOL, SUPPORT_TOL)
     return np.minimum(relent, cap), _spectrum_entropy(p), _log2_from_eig(p, u)
+
+
+def _rowdot(a, b):
+    """Dot products along the last axis, one per stack entry (a plain ``a @ b`` for vectors)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def raw_entropy(a) -> float:
@@ -144,9 +150,11 @@ def relative_entropy(a, b, support_tol: float = SUPPORT_TOL, leak_tol: float | N
 
 def _relative_entropy_tail(p, q, weight, support_tol: float, leak_tol: float):
     """Relative entropy from the clipped spectra p of a, q of b, and a's diagonal in b's eigenbasis;
-    ``p`` and ``weight`` may carry stack axes.  Inf where over ``leak_tol`` of a lies on q <= support_tol."""
-    leak = weight[..., q <= support_tol].sum(axis=-1) > leak_tol
-    value = _xlogx(p) - weight @ np.log2(np.maximum(q, _LOG_FLOOR)) + (q.sum() - p.sum(axis=-1)) / LN2
+    ``p``, ``q`` and ``weight`` may carry broadcasting stack axes.  Inf where over ``leak_tol`` of a lies
+    on q <= support_tol."""
+    leak = (weight * (q <= support_tol)).sum(axis=-1) > leak_tol
+    cross = _rowdot(weight, np.log2(np.maximum(q, _LOG_FLOOR)))
+    value = _xlogx(p) - cross + (q.sum(axis=-1) - p.sum(axis=-1)) / LN2
     return np.where(leak, math.inf, value)
 
 

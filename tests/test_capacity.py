@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +40,12 @@ from entrocap import (
 )
 from entrocap import capacity
 from entrocap.channels import apply
+from entrocap.specfile import load_spec
 
 QUBIT_F = np.diag([0.0, 1.0])
 CQ_QUTRIT = cq_channel([np.diag(np.eye(3)[k]).astype(complex) for k in range(3)])
 CQ_CONSTRAINT = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 0.5)
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def shannon(probabilities):
@@ -196,6 +199,52 @@ class TestFeasibleLinearMax:
         w, u = hermitian_eig(grad - np.nextafter(res.multiplier, 0.0) * con.operator)
         _, energy = capacity._min_energy_vector(w, u, con.operator)
         assert energy > con.bound
+
+
+    def test_tangent_probes_on_the_attenuator_gradient(self, monkeypatch):
+        # at the Gibbs optimum the gradient is c I + lam F: the tangents meet at the kink in a few probes
+        n = 20
+        con = EnergyConstraint(number_operator(n), 1.0)
+        grad = capacity._mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a) or eigh(a, *args, **kwargs))
+        res = feasible_linear_max(grad, con)
+        monkeypatch.undo()
+        assert res.multiplier > 0.0
+        assert len(calls) <= 30
+        w, u = hermitian_eig(grad - np.nextafter(res.multiplier, 0.0) * con.operator)
+        _, energy = capacity._min_energy_vector(w, u, con.operator)
+        assert energy > con.bound
+
+    @pytest.mark.parametrize("coupling", [None, 1e-6, 1e-11, 1e-13])
+    def test_multiplier_one_ulp_tight_without_commuting(self, monkeypatch, coupling):
+        # g and F do not commute: the top eigenvector turns smoothly (random F), or through crossings
+        # narrower than the tie width (diagonal F, diagonal g plus a small coupling); the search still
+        # ends at float resolution within the doubling-plus-bisection budget
+        rng = np.random.default_rng(21)
+        eigh = np.linalg.eigh
+        for trial in range(15):
+            d = int(rng.integers(2, 7))
+            if coupling is None:
+                g = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+                f_raw = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+                f = f_raw @ f_raw.conj().T / d
+            else:
+                g = np.diag(rng.uniform(0.0, 3.0, d)) + coupling * sample_hermitian(d, seed=trial)
+                f = np.diag(np.sort(rng.uniform(0.0, 3.0, d)))
+            con = EnergyConstraint(f, float(np.linalg.eigvalsh(f).min()) + float(rng.uniform(0.05, 1.0)))
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a) or eigh(a, *args, **kwargs))
+            res = feasible_linear_max(g, con)
+            monkeypatch.undo()
+            if res.multiplier == 0.0:
+                continue
+            assert len(calls) <= 80
+            assert res.gap <= 1e-9
+            w, u = hermitian_eig(g - np.nextafter(res.multiplier, 0.0) * con.operator)
+            _, energy = capacity._min_energy_vector(w, u, con.operator)
+            assert energy > con.bound + 1e-12 * max(1.0, con.bound)
 
 
 class TestCeaCapacity:
@@ -571,6 +620,43 @@ class TestChiCapacity:
         res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=1, max_iterations=50))
         assert res.iterations >= 1
         assert len(calls) <= 10 * res.iterations
+
+    @pytest.mark.parametrize(
+        "name, seed, value, iterations, converged",
+        [
+            ("identity_qubit", 0, 0.8112780065977813, 300, False),
+            ("identity_qubit", 1, 0.811271198872977, 300, False),
+            ("identity_qubit", 5, 0.8112104442256676, 300, False),
+            ("cq_qutrit", 0, 1.3002068332825512, 152, True),
+            ("cq_qutrit", 1, 1.3002068332822312, 136, True),
+            ("cq_qutrit", 5, 1.300206833281948, 140, True),
+        ],
+    )
+    def test_stacked_restarts_match_sequential_runs(self, name, seed, value, iterations, converged):
+        # reference numbers from the restart-by-restart optimizer this stack replaced
+        spec = load_spec(str(SPECS / f"{name}.json"))
+        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=seed))
+        assert abs(res.value - value) <= 1e-12
+        assert (res.iterations, res.converged) == (iterations, converged)
+
+    def test_restarts_share_eigensolver_calls(self, monkeypatch):
+        # 15 iterations is below the stall window, so every restart stays in the stack throughout
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        counts = {}
+        for restarts in (1, 3):
+            calls.clear()
+            res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=restarts, max_iterations=15))
+            assert res.iterations == 15 * restarts
+            counts[restarts] = len(calls)
+        assert counts[3] <= 1.2 * counts[1]
 
     def test_stall_stop(self):
         opts = OptimizerOptions(restarts=3, max_iterations=160)

@@ -286,6 +286,15 @@ class TestReports:
         assert doc["schema_version"] == 1
         assert doc["command"] == "validate"
 
+    @pytest.mark.parametrize("name", ["identity_qubit", "cq_qutrit"])
+    @pytest.mark.parametrize("command", ["mi", "cea", "chi", "truncation", "prop1", "coincidence"])
+    def test_report_is_plain_json(self, tmp_path, name, command):
+        # a numpy scalar anywhere in the results makes json.dump fail after the solve
+        out = tmp_path / "report.json"
+        code = main([command, f"{SPECS}/{name}.json", "--max-iterations", "30", "--report", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["command"] == command
+
     def test_report_echoes_inputs_and_seed(self):
         _, report, _ = run("validate", f"{SPECS}/cq_qutrit.json", {"seed": 9})
         assert report["seed"] == 9
