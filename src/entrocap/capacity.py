@@ -403,41 +403,49 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     )
 
 
-def _least_feasible_rate(tilt, rounding: float):
+def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
     """Least rate beta >= 0 at which ``tilt(beta) -> (state, excess, slope)`` has ``excess <= 0``.
 
-    The excess falls in beta with derivative ``slope``.  Newton steps from beta = 0 inside the bracket
+    The excess falls in beta with derivative ``slope``.  Newton steps from ``start`` inside the bracket
     of infeasible and feasible rates; a step after two landings on one side is doubled, so both ends
-    close in.  Stops at a feasible rate whose excess is zero to ``rounding``, or at adjacent-float
-    bracket ends, and returns the state at the feasible end.
+    close in.  A ``start`` above 0 requires beta = 0 to be infeasible; from a feasible start the
+    bracket closes from above.  Stops at a feasible rate whose excess is zero to ``rounding``, or at
+    adjacent-float bracket ends, and returns the state at the feasible end.  A non-finite excess
+    raises a ValidationError.
     """
-    lo, hi, state_hi, beta, same_side = 0.0, math.inf, None, 0.0, False
+    lo, hi, state_hi, beta, same_side = 0.0, math.inf, None, start, False
     state, excess, slope = tilt(beta)
-    if excess <= 0.0:
-        return state
-    while lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
+    while True:
+        if not math.isfinite(excess):
+            raise ValidationError("energy search met a non-finite mean energy")
+        if excess > 0.0:
+            lo = beta
+        else:
+            hi, state_hi = beta, state
+            if excess >= -rounding:
+                break
+        if not lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
+            break
         t = beta - (2.0 if same_side else 1.0) * excess / slope if slope < 0.0 else mid
         if not lo < t < hi:
             t = mid
         state, excess_t, slope = tilt(t)
         same_side, beta, excess = (excess_t <= 0.0) == (excess <= 0.0), t, excess_t
-        if excess > 0.0:
-            lo = t
-        else:
-            hi, state_hi = t, state
-            if excess >= -rounding:
-                break
     return state if state_hi is None else state_hi
 
 
-def _retilt(weights, energies, bound):
-    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible."""
-    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+def _retilt(weights, energies, bound, start=None):
+    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible.
+
+    Given a ``start`` rate, the search begins there and ``(p, beta)`` is returned.  A ValidationError
+    if the least energy on the support of ``weights`` exceeds the bound."""
+    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
     w = w / w.sum()
     f = np.asarray(energies, dtype=float)
     if float(w @ f) <= bound + 1e-12:
-        return w
-    if float(f.min()) > bound + 1e-12:
+        return w if start is None else (w, 0.0)
+    least = float(f[w > 0.0].min())  # the least energy the tilt can reach is the support's
+    if least > bound + 1e-12:
         raise ValidationError("no re-tilt can restore feasibility")
     above = f - f.min()
 
@@ -445,9 +453,10 @@ def _retilt(weights, energies, bound):
         p = w * np.exp(-beta * above)
         p = p / p.sum()
         mean = float(p @ f)
-        return p, mean - bound, -float(p @ (f - mean) ** 2)
+        return (p, beta), mean - bound, -float(p @ (f - mean) ** 2)
 
-    return _least_feasible_rate(tilt, 4.0 * np.finfo(float).eps * float(np.abs(f).max()))
+    p, beta = _least_feasible_rate(tilt, 4.0 * np.finfo(float).eps * float(np.abs(f).max()), start or 0.0)
+    return p if start is None else (p, beta)
 
 
 def _pure_images(kraus, vectors):
@@ -480,6 +489,8 @@ def chi_capacity(
     images with one batched eigensolver call; the weight re-tilt runs per
     restart, and accept/reject masks update each restart's own step, best
     value and stall history, so each restart follows its sequential path.
+    Each restart carries the rates of its last weight re-tilt and its last
+    candidate re-tilt, and the next search of each kind starts there.
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
@@ -514,14 +525,15 @@ def chi_capacity(
     vecs, energies, weights = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
     best = _pure_chi(kraus, weights, vecs)
     best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
-    history, outcomes = [best], []
+    history, outcomes, rate_a, rate_b = [best], [], np.zeros(opts.restarts), np.zeros(opts.restarts)
     for taken in range(1, opts.max_iterations + 1):
         # (a) weight update toward the exponential-tilt fixed point
         amps, images = _pure_images(kraus, vecs)
         avg = np.einsum("...i,...ibc->...bc", weights, images)
         scores, member_entropies, logs = _member_terms(images, avg, _RELENT_CAP_BITS)
         weights = np.clip(weights * np.exp2(scores - scores.max(axis=-1, keepdims=True)), 1e-300, None)
-        weights = np.array([_retilt(w / w.sum(), e, bound) for w, e in zip(weights, energies)])
+        tilted = [_retilt(w / w.sum(), e, bound, s) for w, e, s in zip(weights, energies, rate_a)]
+        weights, rate_a = (np.array(a) for a in zip(*tilted))
 
         # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
         avg = np.einsum("...i,...ibc->...bc", weights, images)
@@ -531,10 +543,10 @@ def chi_capacity(
         cand = vecs + step[:, None, None] * y
         cand = np.where(weights[..., None] > 1e-14, cand / np.linalg.norm(cand, axis=-1, keepdims=True), vecs)
         cand_energies = energies_of(cand)
-        feasible = cand_energies.min(axis=-1) <= bound
+        feasible = np.where(weights > 0.0, cand_energies, math.inf).min(axis=-1) <= bound
         cand_weights, gain = weights.copy(), np.full(len(ids), -math.inf)
         for r in np.flatnonzero(feasible):
-            cand_weights[r] = _retilt(weights[r], cand_energies[r], bound)
+            cand_weights[r], rate_b[r] = _retilt(weights[r], cand_energies[r], bound, rate_b[r])
         if feasible.any():
             gain[feasible] = _pure_chi(kraus, cand_weights[feasible], cand[feasible])
         accept = gain >= best - 1e-12
@@ -553,8 +565,8 @@ def chi_capacity(
         outcomes += [(best[i], (best_w[i], best_v[i]), taken, bool(stalled[i]), ids[i]) for i in np.flatnonzero(done)]
         if done.any():  # finished restarts leave the stack
             keep = ~done
-            vecs, energies, weights, best, best_w, best_v, step, ids = (
-                a[keep] for a in (vecs, energies, weights, best, best_w, best_v, step, ids)
+            vecs, energies, weights, best, best_w, best_v, step, ids, rate_a, rate_b = (
+                a[keep] for a in (vecs, energies, weights, best, best_w, best_v, step, ids, rate_a, rate_b)
             )
             history = [h[keep] for h in history]
             if not len(ids):

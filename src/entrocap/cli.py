@@ -12,6 +12,7 @@ failure, 3 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -324,6 +325,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
     return code, report, human
 
 
+@functools.cache  # built on first use, then shared by every main() in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrocap",

@@ -86,7 +86,7 @@ def _clip_psd(w, name: str):
     """Eigenvalues clipped at zero; a ValidationError if one lies below ``-PSD_TOL``."""
     if w.size and not float(w.min()) >= -PSD_TOL:
         raise ValidationError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)
 
 
 def _xlogx(w):

@@ -689,6 +689,64 @@ class TestChiCapacity:
             assert p @ energies <= bound
             assert np.abs(p - tilt(hi) / tilt(hi).sum()).max() <= 1e-12
 
+    @staticmethod
+    def count_tilts(monkeypatch):
+        """Rates at which the beta search evaluates its tilt, recorded across every search."""
+        rates = []
+        search = capacity._least_feasible_rate
+
+        def counting(tilt, rounding, *start):
+            def counted(beta):
+                rates.append(beta)
+                return tilt(beta)
+
+            return search(counted, rounding, *start)
+
+        monkeypatch.setattr(capacity, "_least_feasible_rate", counting)
+        return rates
+
+    def test_retilt_warm_starts_find_the_least_feasible_rate(self, monkeypatch):
+        # the problems of test_retilt_finds_the_least_feasible_rate, searched from starts around the rate
+        rates = self.count_tilts(monkeypatch)
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            m = int(rng.integers(2, 10))
+            weights = rng.dirichlet(np.ones(m))
+            energies = rng.uniform(0.0, 3.0, m)
+            bound = float(rng.uniform(energies.min(), weights @ energies))
+            lo, hi = 0.0, 1.0
+            tilt = lambda beta: weights * np.exp(-beta * (energies - energies.min()))
+            while tilt(hi) @ energies / tilt(hi).sum() > bound:
+                lo, hi = hi, 2.0 * hi
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if tilt(mid) @ energies / tilt(mid).sum() <= bound else (mid, hi)
+            beta_star = capacity._retilt(weights, energies, bound, 0.0)[1]  # the cold search's rate
+            for factor in (0.0, 0.5, 1.0, 2.0, 50.0):
+                rates.clear()
+                p, beta = capacity._retilt(weights, energies, bound, factor * beta_star)
+                assert p @ energies <= bound
+                assert np.abs(p - tilt(hi) / tilt(hi).sum()).max() <= 1e-12
+                assert np.abs(p - tilt(beta) / tilt(beta).sum()).max() <= 1e-14  # the rate returned is the one used
+                if factor == 1.0:
+                    assert len(rates) <= 2
+
+    def test_retilt_rejects_a_support_above_the_bound(self):
+        # the zero-weight member's energy is feasible, but no tilt can move weight onto it
+        with pytest.raises(ValidationError, match="no re-tilt"):
+            capacity._retilt(np.array([0.0, 1.0]), np.array([0.0, 5.0]), 1.0)
+
+    def test_rate_search_fails_closed_on_a_non_finite_excess(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            capacity._least_feasible_rate(lambda beta: (None, 1.0 if beta == 0.0 else math.nan, -1.0), 1e-15)
+
+    def test_warm_started_retilts_stay_within_budget(self, monkeypatch):
+        # a cold search from beta = 0 at every re-tilt takes 3900 tilt evaluations here
+        rates = self.count_tilts(monkeypatch)
+        spec = load_spec(str(SPECS / "identity_qubit.json"))
+        chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
+        assert len(rates) <= 2900
+
 
 class TestInequalities:
     def test_cea_dominates_chi(self):

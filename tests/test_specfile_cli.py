@@ -286,6 +286,28 @@ class TestReports:
         assert doc["schema_version"] == 1
         assert doc["command"] == "validate"
 
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        import argparse
+        from types import SimpleNamespace
+
+        from entrocap import cli
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counting))
+        cli._build_parser.cache_clear()
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            argv = ["chi", f"{SPECS}/cq_qutrit.json", "--seed", "3", "--max-iterations", "20", "--report", str(out)]
+            assert main(argv) == 0
+        cli._build_parser.cache_clear()
+        assert len(built) == 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("name", ["identity_qubit", "cq_qutrit"])
     @pytest.mark.parametrize("command", ["mi", "cea", "chi", "truncation", "prop1", "coincidence"])
     def test_report_is_plain_json(self, tmp_path, name, command):
