@@ -33,11 +33,14 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, _member_terms, _rowdot, _spectra, _spectrum_entropy, chi_through, entropy
+from .entropy import Ensemble, _member_terms, _rowdot, _spectrum_entropy, chi_through, entropy
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
     LN2,
+    _as_matrix,
+    _eig,
     _log2_from_eig,
+    _spectra,
     assert_density_operator,
     assert_hermitian,
     hermitian_eig,
@@ -406,14 +409,14 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
 def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
     """Least rate beta >= 0 at which ``tilt(beta) -> (state, excess, slope)`` has ``excess <= 0``.
 
-    The excess falls in beta with derivative ``slope``.  Newton steps from ``start`` inside the bracket
-    of infeasible and feasible rates; a step after two landings on one side is doubled, so both ends
-    close in.  A ``start`` above 0 requires beta = 0 to be infeasible; from a feasible start the
-    bracket closes from above.  Stops at a feasible rate whose excess is zero to ``rounding``, or at
-    adjacent-float bracket ends, and returns the state at the feasible end.  A non-finite excess
-    raises a ValidationError.
+    The excess falls in beta with derivative ``slope``.  Newton steps from ``start`` inside the bracket of
+    infeasible and feasible rates aim at ``-rounding / 2``, mid stop window; a step after a same-side landing
+    that did not halve ``|excess|`` is doubled, so both ends close in.  A ``start`` above 0 requires beta = 0
+    to be infeasible; from a feasible start the bracket closes from above.  Stops at a feasible rate whose
+    excess is zero to ``rounding``, or at adjacent-float bracket ends, and returns the state at the feasible
+    end.  A non-finite excess raises a ValidationError.
     """
-    lo, hi, state_hi, beta, same_side = 0.0, math.inf, None, start, False
+    lo, hi, state_hi, beta, slow = 0.0, math.inf, None, start, False
     state, excess, slope = tilt(beta)
     while True:
         if not math.isfinite(excess):
@@ -426,11 +429,11 @@ def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
                 break
         if not lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
             break
-        t = beta - (2.0 if same_side else 1.0) * excess / slope if slope < 0.0 else mid
+        t = beta - (2.0 if slow else 1.0) * (excess + 0.5 * rounding) / slope if slope < 0.0 else mid
         if not lo < t < hi:
             t = mid
         state, excess_t, slope = tilt(t)
-        same_side, beta, excess = (excess_t <= 0.0) == (excess <= 0.0), t, excess_t
+        slow, beta, excess = (excess_t <= 0.0) == (excess <= 0.0) and abs(excess_t) > 0.5 * abs(excess), t, excess_t
     return state if state_hi is None else state_hi
 
 
@@ -466,11 +469,13 @@ def _pure_images(kraus, vectors):
     return amps, amps @ amps.conj().swapaxes(-1, -2)
 
 
-def _pure_chi(kraus, weights, vectors):
-    """chi of pure-state ensembles ``(..., m)``, ``(..., m, d)`` through a channel, entropy-difference form."""
-    images = _pure_images(kraus, vectors)[1]
-    avg = np.einsum("...i,...ibc->...bc", weights, images)
-    return _spectrum_entropy(_spectra(avg)) - _rowdot(weights, _spectrum_entropy(_spectra(images, "ensemble image")))
+def _ensemble_spectra(kraus, weights, vectors):
+    """For pure-state ensembles ``(..., m)``, ``(..., m, d)`` through a channel: the amplitudes and images
+    of :func:`_pure_images`, the eigenpairs of the images and of their average, and the chi value."""
+    amps, images = _pure_images(kraus, vectors)
+    p, u = _eig(images, "ensemble image")
+    q, v = _eig(np.einsum("...i,...ibc->...bc", weights, images), "average image")
+    return (amps, images, p, u, q, v), _spectrum_entropy(q) - _rowdot(weights, _spectrum_entropy(p))
 
 
 def chi_capacity(
@@ -485,12 +490,12 @@ def chi_capacity(
     keep the average state feasible) with projected gradient steps on the
     pure members; multi-start, merged by best value.  No optimality claim.
     The members of every running restart are the rows of one ``(restarts, m, d)``
-    stack, so a step maps them with one einsum and diagonalizes all their
-    images with one batched eigensolver call; the weight re-tilt runs per
-    restart, and accept/reject masks update each restart's own step, best
-    value and stall history, so each restart follows its sequential path.
-    Each restart carries the rates of its last weight re-tilt and its last
-    candidate re-tilt, and the next search of each kind starts there.
+    stack, mapped by one einsum.  A step makes 3 batched eigensolver calls:
+    the re-tilted average, then the candidates' images and their average,
+    whose eigenpairs the next step reuses (a rejected restart keeps its own).
+    The re-tilts run per restart, each starting at the rate its restart found
+    last, and accept/reject masks update each restart's own step, best value
+    and stall history, so each restart follows its sequential path.
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
@@ -506,7 +511,7 @@ def chi_capacity(
     if m < 1:
         raise ValidationError("ensemble size must be positive")
     t0 = time.perf_counter()
-    fw, fu = hermitian_eig(f_op)
+    fw, fu = _eig(f_op, "constraint operator")
 
     def energies_of(vectors):
         return np.einsum("...ia,ab,...ib->...i", vectors.conj(), f_op, vectors).real
@@ -518,26 +523,24 @@ def chi_capacity(
         vecs = np.array([*np.eye(d, dtype=complex)[:k0], *(v / np.linalg.norm(v) for v in rows)])
         energies = energies_of(vecs)
         if energies.min() > bound:
-            vecs[-1], energies[-1] = fu[:, -1], float(fw[-1])
+            vecs[-1], energies[-1] = fu[:, 0], float(fw[0])
         return vecs, energies, _retilt(np.full(m, 1.0 / m), energies, bound)
 
     # per running restart: members, energies, weights, best value and state, step, restart index
     vecs, energies, weights = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
-    best = _pure_chi(kraus, weights, vecs)
+    state, best = _ensemble_spectra(kraus, weights, vecs)
     best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
     history, outcomes, rate_a, rate_b = [best], [], np.zeros(opts.restarts), np.zeros(opts.restarts)
     for taken in range(1, opts.max_iterations + 1):
         # (a) weight update toward the exponential-tilt fixed point
-        amps, images = _pure_images(kraus, vecs)
-        avg = np.einsum("...i,...ibc->...bc", weights, images)
-        scores, member_entropies, logs = _member_terms(images, avg, _RELENT_CAP_BITS)
+        amps, images, p, u, q, v = state
+        scores, member_entropies, logs = _member_terms(p, u, q, v, _RELENT_CAP_BITS)
         weights = np.clip(weights * np.exp2(scores - scores.max(axis=-1, keepdims=True)), 1e-300, None)
-        tilted = [_retilt(w / w.sum(), e, bound, s) for w, e, s in zip(weights, energies, rate_a)]
+        tilted = [_retilt(w, e, bound, s) for w, e, s in zip(weights, energies, rate_a)]
         weights, rate_a = (np.array(a) for a in zip(*tilted))
 
         # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
-        avg = np.einsum("...i,...ibc->...bc", weights, images)
-        q, v = _spectra(avg, "average image", vectors=True)
+        q, v = _eig(np.einsum("...i,...ibc->...bc", weights, images), "average image")
         y = np.einsum("kba,...ibk->...ia", kraus.conj(), (logs - _log2_from_eig(q, v)[:, None]) @ amps)
         y -= np.einsum("...ia,...ia->...i", vecs.conj(), y)[..., None] * vecs
         cand = vecs + step[:, None, None] * y
@@ -548,9 +551,12 @@ def chi_capacity(
         for r in np.flatnonzero(feasible):
             cand_weights[r], rate_b[r] = _retilt(weights[r], cand_energies[r], bound, rate_b[r])
         if feasible.any():
-            gain[feasible] = _pure_chi(kraus, cand_weights[feasible], cand[feasible])
+            cand_state, gain[feasible] = _ensemble_spectra(kraus, cand_weights[feasible], cand[feasible])
         accept = gain >= best - 1e-12
         cur = np.where(accept, gain, _spectrum_entropy(q) - _rowdot(weights, member_entropies))
+        state = (amps, images, p, u, q, v)  # the next step's, unless its restart accepted the candidate
+        for a, c in zip(state, cand_state if accept.any() else ()):
+            a[accept] = c[accept[feasible]]
         vecs = np.where(accept[:, None, None], cand, vecs)
         energies = np.where(accept[:, None], cand_energies, energies)
         weights = np.where(accept[:, None], cand_weights, weights)
@@ -568,7 +574,7 @@ def chi_capacity(
             vecs, energies, weights, best, best_w, best_v, step, ids, rate_a, rate_b = (
                 a[keep] for a in (vecs, energies, weights, best, best_w, best_v, step, ids, rate_a, rate_b)
             )
-            history = [h[keep] for h in history]
+            history, state = [h[keep] for h in history], [a[keep] for a in state]
             if not len(ids):
                 break
     _, (weights, vecs), _, converged, _ = max(outcomes, key=lambda o: (o[0], -o[4]))
@@ -602,23 +608,22 @@ def chi_at_state(
     winning restart stopped on the gradient test or the step-size floor.
     """
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
-    rho = assert_density_operator(rho)
-    if rho.shape[0] != channel.dim_in:
+    w, u = (a[..., ::-1] for a in _spectra(_as_matrix(rho), "state", vectors=True, unit_trace=True))
+    if len(w) != channel.dim_in:
         raise ValidationError("state dimension does not match channel input")
     channel = _maybe_prune(channel)
-    w, u = hermitian_eig(rho)
     rank = int((w > 1e-12).sum())
     m = int(members) if members is not None else max(rank * rank, rank)
     if m < rank:
         raise ValidationError(f"decomposition size {m} below state rank {rank}")
     t0 = time.perf_counter()
     kraus = channel.kraus_stack()
-    root = u[:, :rank] * np.sqrt(np.clip(w[:rank], 0.0, None))  # rho = root root†
+    root = u[:, :rank] * np.sqrt(w[:rank])  # rho = root root†
 
     def objective(stiefel):
         x = stiefel @ root.T  # rows are subnormalized member vectors
         amps, images = _pure_images(kraus, x)
-        p, u = _spectra(images, "member image", vectors=True)
+        p, u = _eig(images, "member image")
         return float(_spectrum_entropy(p).sum()), (x, amps, p, u)
 
     def gradient(stiefel, state):

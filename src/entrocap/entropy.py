@@ -25,13 +25,12 @@ import numpy as np
 from .channels import KrausChannel, QuantumOperation, apply, environment_output, tensor_channel, identity_channel
 from .errors import ValidationError
 from .linalg import (
-    HERMITICITY_TOL,
     LN2,
-    PSD_TOL,
-    TRACE_TOL,
+    _clip_psd,
+    _eig,
     _log2_from_eig,
+    _spectra,
     assert_density_operator,
-    assert_hermitian,
     hermitian_eig,
     partial_trace,
     permute_subsystems,
@@ -59,56 +58,22 @@ SUPPORT_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 
 
-def _spectra(stack, name: str = "operator", vectors: bool = False):
-    """Checked spectra of one operator or a stack ``(..., d, d)`` of them, in one eigensolver call.
-
-    Each member must be Hermitian within ``HERMITICITY_TOL`` and have no
-    eigenvalue below ``-PSD_TOL``.  Returns the eigenvalues clipped at zero
-    (ascending along the last axis), and the eigenvectors if ``vectors``;
-    :func:`_spectrum_entropy` checks their traces.
-    """
-    s = np.asarray(stack, dtype=complex)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {s.shape}")
-    h = s.conj().swapaxes(-1, -2)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf deviations fail below
-        dev = np.abs(s - h).max(initial=0.0)
-    if not dev <= HERMITICITY_TOL:
-        for member in s.reshape(-1, *s.shape[-2:]):
-            assert_hermitian(member, name=name)  # raises for the first offending member
-    s = 0.5 * (s + h)
-    w, u = np.linalg.eigh(s) if vectors else (np.linalg.eigvalsh(s), None)
-    w = _clip_psd(w, name)
-    return (w, u) if vectors else w
-
-
-def _clip_psd(w, name: str):
-    """Eigenvalues clipped at zero; a ValidationError if one lies below ``-PSD_TOL``."""
-    if w.size and not float(w.min()) >= -PSD_TOL:
-        raise ValidationError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
-    return np.maximum(w, 0.0)
-
-
 def _xlogx(w):
     """``w log2 w`` summed over the last axis of clipped spectra, with ``0 log2 0 = 0``."""
     return (w * np.log2(np.maximum(w, _LOG_FLOOR))).sum(axis=-1)
 
 
 def _spectrum_entropy(w, homogeneous: bool = True):
-    """``-sum w log2 w`` over the last axis of clipped spectra of trace t <= 1, plus ``t log2 t`` if ``homogeneous``."""
+    """``-sum w log2 w`` over the last axis of clipped spectra of trace t, plus ``t log2 t`` if ``homogeneous``."""
     t = w.sum(axis=-1)
-    if not t.max(initial=0.0) <= 1.0 + TRACE_TOL:
-        raise ValidationError(f"trace {float(t.max())!r} exceeds 1")
     raw = -_xlogx(w)
     return raw + t * np.log2(np.maximum(t, _LOG_FLOOR)) if homogeneous else raw
 
 
-def _member_terms(images, avg, cap: float):
-    """Per member of a stack ``(..., m, d, d)`` of states, from one :func:`_spectra` call: the relative
-    entropy to its ``avg`` ``(..., d, d)`` capped at ``cap`` bits (``cap`` where :func:`relative_entropy`
-    is inf), the entropy, and the log2 matrix (eigenvalues floored at 1e-30 as in ``hermitian_log2``)."""
-    p, u = _spectra(images, "ensemble image", vectors=True)
-    q, v = _spectra(avg, "average image", vectors=True)
+def _member_terms(p, u, q, v, cap: float):
+    """Per member of a stack of states with ``_eig`` eigenpairs ``p, u`` ``(..., m, d)``, ``(..., m, d, d)``: the
+    relative entropy to the state with eigenpairs ``q, v`` ``(..., d)``, ``(..., d, d)`` capped at ``cap`` bits
+    (``cap`` where :func:`relative_entropy` is inf), the entropy, and the log2 matrix (eigenvalues floored at 1e-30)."""
     overlap = np.abs(v.conj().swapaxes(-1, -2)[..., None, :, :] @ u) ** 2
     weight = np.einsum("...ijl,...il->...ij", overlap, p)  # <v_j|images[i]|v_j>
     relent = _relative_entropy_tail(p, q[..., None, :], weight, SUPPORT_TOL, SUPPORT_TOL)
@@ -269,31 +234,38 @@ def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy
     defining expression and also covers trace-decreasing operations.  The
     joint state has rank <= K (the Kraus count) and the second argument is a
     product, so the route reads both in the marginals' product eigenbasis:
-    O(K d_out d (d_out + d + K)) time, no (d_out d)^2 array.
+    O(K d_out d (d_out + d + K)) time, no (d_out d)^2 array.  One checked
+    eigendecomposition of rho gives the factor ``phi`` (and ``ref``, diagonal
+    in its basis), and ``Phi[rho] = sum_k m_k m_k†`` comes from ``m = K phi``.
     ``route="entropies"`` uses ``H(rho) + H(Phi[rho]) - H(env)`` (channels
     only); the two routes share no spectrum and agree at finite dimension.
     """
-    rho = assert_density_operator(rho)
-    if rho.shape[0] != op.dim_in:
+    if route == "entropies":
+        rho = assert_density_operator(rho)
+        d = rho.shape[0]
+    elif route == "relative_entropy":
+        phi = purify(rho).vec  # one checked eigendecomposition: the boundary check and the factor
+        d = math.isqrt(len(phi))
+    else:
+        raise ValidationError(f"unknown route {route!r}")
+    if d != op.dim_in:
         raise ValidationError("state dimension does not match the channel input")
     if route == "entropies":
         if not isinstance(op, KrausChannel):
             raise ValidationError("entropy route requires a trace-preserving channel")
         return entropy(rho) + entropy(apply(op, rho)) - entropy(environment_output(op, rho))
-    if route != "relative_entropy":
-        raise ValidationError(f"unknown route {route!r}")
-    d = rho.shape[0]
-    phi = purify(rho).vec.reshape(d, d)  # phi[a, r]
-    m = op.kraus_stack() @ phi  # the joint state is sum_k |vec m[k]><vec m[k]|
-    a, u_a = hermitian_eig(apply(op, rho))
-    b, u_b = hermitian_eig(phi.T @ phi.conj())
-    q = _clip_psd(np.outer(a, b), "second argument").ravel()
-    c = u_a.conj().T @ m @ u_b.conj()  # the joint state's factors in the product eigenbasis
-    weight = np.einsum("kij,kij->ij", c.conj(), c).real.ravel()
-    p = np.linalg.svd(m.reshape(len(m), -1), compute_uv=False) ** 2
+    phi = phi.reshape(d, d)  # phi[a, r]
+    p = np.einsum("ar,ar->r", phi.conj(), phi).real  # the reference marginal, diagonal in the basis r
+    kraus = op.kraus_stack()
+    m = (kraus.reshape(-1, d) @ phi).reshape(kraus.shape)  # the joint state is sum_k |vec m[k]><vec m[k]|
+    rows = np.concatenate(m, axis=1)  # [m[0] m[1] ...], so Phi(rho) = rows rows†
+    a, u_a = _eig(rows @ rows.conj().T, "channel output")
+    c = (u_a.conj().T @ rows).reshape(len(a), len(m), d)  # the factors m[k] in the product eigenbasis
+    weight = (c.real ** 2 + c.imag ** 2).sum(axis=1).ravel()
+    sv = np.linalg.svd(m.reshape(len(m), -1), compute_uv=False) ** 2
     # support containment holds identically here, so only exact kernel
     # directions are screened; the value is finite at finite dimension
-    return float(_relative_entropy_tail(p, q, weight, 0.0, 1e-9))
+    return float(_relative_entropy_tail(sv, np.outer(a, p).ravel(), weight, 0.0, 1e-9))
 
 
 def coherent_information(rho, op: QuantumOperation, route: str = "relative_entropy") -> float:

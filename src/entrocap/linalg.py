@@ -115,33 +115,61 @@ def _coerce_layout(layout) -> CompositeLayout:
 def assert_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within max-norm ``tol`` and return the array."""
     m = _as_matrix(a)
+    _hermitian_part(m, tol, name)
+    return m
+
+
+def _hermitian_part(s, tol: float, name: str) -> np.ndarray:
+    """``(s + s†) / 2`` of one matrix or a stack ``s``, once every entry is finite and within ``tol`` of ``s†``."""
+    h = s.conj().swapaxes(-1, -2)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf deviations fail below
-        dev = np.abs(m - m.conj().T).max() if m.size else 0.0
+        dev = np.abs(s - h).max(initial=0.0)
     if not dev <= tol:  # a NaN deviation fails too
-        if not np.isfinite(m).all():
+        if not np.isfinite(s).all():
             raise ValidationError(f"{name} contains non-finite entries")
         raise ValidationError(f"{name} is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    return 0.5 * (s + h)
+
+
+def assert_density_operator(rho, unit_trace: bool = True, tol: float = TRACE_TOL, name: str = "state") -> np.ndarray:
+    """Validate a density operator (Hermitian, PSD, unit or sub-unit trace) with one checked eigensolver call."""
+    m = _as_matrix(rho)
+    _spectra(m, name, unit_trace=unit_trace, tol=tol)
     return m
 
 
-def assert_density_operator(
-    rho,
-    unit_trace: bool = True,
-    tol: float = TRACE_TOL,
-    name: str = "state",
-) -> np.ndarray:
-    """Validate a density operator (Hermitian, PSD, unit or sub-unit trace)."""
-    m = assert_hermitian(rho, name=name)
-    eig_min = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()) if m.size else 0.0
-    if not eig_min >= -PSD_TOL:
-        raise ValidationError(f"{name} is not PSD: min eigenvalue {eig_min:.3e}")
-    tr = float(np.trace(m).real)
-    if unit_trace:
-        if not abs(tr - 1.0) <= tol:
-            raise ValidationError(f"{name} trace {tr!r} deviates from 1 beyond {tol:.1e}")
-    elif not tr <= 1.0 + tol:
-        raise ValidationError(f"{name} trace {tr!r} exceeds 1 beyond {tol:.1e}")
-    return m
+def _spectra(stack, name: str = "operator", vectors: bool = False, unit_trace: bool = False, tol: float = TRACE_TOL):
+    """Checked entry of the spectral kernel, for operators from outside the library: one or a stack ``(..., d, d)``
+    of them must be finite, Hermitian within ``HERMITICITY_TOL``, PSD within ``PSD_TOL`` and of trace 1 within
+    ``tol`` (``unit_trace``) or at most ``1 + tol``.  Returns what :func:`_eig` does, without vectors unless asked."""
+    s = np.asarray(stack, dtype=complex)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise ValidationError(f"expected a square matrix, got shape {s.shape}")
+    h = _hermitian_part(s, HERMITICITY_TOL, name)
+    w, u = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    w, t = _clip_psd(w, name), np.trace(s, axis1=-2, axis2=-1).real
+    ok = abs(t - 1.0) <= tol if unit_trace else t <= 1.0 + tol
+    if not ok.all():
+        tr = float(t[~ok].flat[0])
+        raise ValidationError(f"{name} trace {tr!r} {'deviates from' if unit_trace else 'exceeds'} 1 beyond {tol:.1e}")
+    return (w, u) if vectors else w
+
+
+def _eig(stack, name: str = "operator"):
+    """Bare entry of the spectral kernel, for operators the library built: eigenvalues (ascending, clipped at 0)
+    and eigenvectors of one Hermitian PSD matrix or a stack ``(..., d, d)`` from one eigensolver call on the lower
+    triangle.  A non-finite entry or an eigenvalue below ``-PSD_TOL`` raises a ValidationError."""
+    if not np.isfinite(stack.sum()):  # LAPACK may return finite spectra of a NaN matrix
+        raise ValidationError(f"{name} contains non-finite entries")
+    w, u = np.linalg.eigh(stack)
+    return _clip_psd(w, name), u
+
+
+def _clip_psd(w, name: str):
+    """Eigenvalues clipped at zero; a ValidationError if one lies below ``-PSD_TOL``."""
+    if w.size and not float(w.min()) >= -PSD_TOL:
+        raise ValidationError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
+    return np.maximum(w, 0.0)
 
 
 def hermitian_eig(a, tol: float = HERMITICITY_TOL):
@@ -150,8 +178,7 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL):
     Returns ``(w, u)`` with ``a = u @ diag(w) @ u†`` and ``u`` unitary; the
     columns of ``u`` follow the descending order of ``w``.
     """
-    m = assert_hermitian(a, tol=tol)
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    w, u = np.linalg.eigh(_hermitian_part(_as_matrix(a), tol, "matrix"))
     return w[::-1].copy(), u[:, ::-1].copy()
 
 
@@ -225,13 +252,9 @@ def purify(rho) -> PureVector:
     ``sum_k sqrt(p_k) |v_k> (x) |k>`` with a reference factor of the same
     dimension; tracing out the reference recovers ``rho``.
     """
-    m = assert_density_operator(rho, unit_trace=True)
-    d = m.shape[0]
-    w, u = hermitian_eig(m)
-    w = np.clip(w.real, 0.0, None)
-    phi = (u * np.sqrt(w)).reshape(-1)  # phi[a*d + k] = sqrt(p_k) u[a, k]
-    phi = phi / np.linalg.norm(phi)
-    return PureVector(phi, CompositeLayout((d, d), ("A", "R")))
+    w, u = _spectra(_as_matrix(rho), "state", vectors=True, unit_trace=True)
+    phi = (u[:, ::-1] * np.sqrt(w[::-1] / w.sum())).reshape(-1)  # phi[a*d + k] = sqrt(p_k) u[a, k], p descending
+    return PureVector(phi, CompositeLayout((len(w), len(w)), ("A", "R")))
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

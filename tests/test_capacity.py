@@ -607,7 +607,8 @@ class TestChiCapacity:
 
 
     def test_eigensolver_calls_per_iteration(self, monkeypatch):
-        # one batched call per stack: the per-member path made about 50 per iteration
+        # a stack step makes at most 3 batched calls, since the next step takes its spectra from the accepted
+        # candidate or from its own step (b); the per-member path made about 50 per iteration
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -619,7 +620,25 @@ class TestChiCapacity:
             monkeypatch.setattr(np.linalg, name, counting)
         res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=1, max_iterations=50))
         assert res.iterations >= 1
-        assert len(calls) <= 10 * res.iterations
+        # the start diagonalizes F and the first ensemble; the final check validates each member and
+        # takes its relative entropy to the average
+        assert len(calls) <= 3 * res.iterations + 3 + 3 * len(res.optimizer)
+
+    @pytest.mark.parametrize("poisoned_call", [0, 1, 3, 4, 40])
+    def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch, poisoned_call):
+        # call 0 diagonalizes F, calls 1-2 the start, then each step its average and its candidates
+        calls, bare = [], capacity._eig
+
+        def poisoned(stack, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == poisoned_call + 1:
+                stack = stack.copy()
+                stack[..., 0, 0] = math.nan
+            return bare(stack, *args, **kwargs)
+
+        monkeypatch.setattr(capacity, "_eig", poisoned)
+        with pytest.raises(ValidationError, match="non-finite"):
+            chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=3, max_iterations=50))
 
     @pytest.mark.parametrize(
         "name, seed, value, iterations, converged",
@@ -745,7 +764,30 @@ class TestChiCapacity:
         rates = self.count_tilts(monkeypatch)
         spec = load_spec(str(SPECS / "identity_qubit.json"))
         chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
-        assert len(rates) <= 2900
+        assert len(rates) <= 2116  # 1924 plus 10%
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [
+            pytest.param(
+                name,
+                seed,
+                marks=pytest.mark.xfail(
+                    strict=True, reason="FOUND in CHANGES.md: chi_capacity misses the identity-qubit optimum at seed 17"
+                ),
+            )
+            if (name, seed) == ("identity_qubit", 17)
+            else (name, seed)
+            for name in ("identity_qubit", "cq_qutrit")
+            for seed in range(20)
+        ],
+    )
+    def test_seed_scan_meets_the_bench_gate(self, name, seed):
+        # the gate of the benchmark's cli_specs chi runs: at most 5e-3 below the closed form, 1e-9 above
+        reference = {"identity_qubit": shannon([0.25, 0.75]), "cq_qutrit": water_filling([0.0, 1.0, 2.0], 0.5)}[name]
+        spec = load_spec(str(SPECS / f"{name}.json"))
+        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=seed))
+        assert reference - 5e-3 <= res.value <= reference + 1e-9
 
 
 class TestInequalities:

@@ -38,8 +38,8 @@ from entrocap import (
     thermal_state,
     unitary_channel,
 )
-from entrocap.entropy import _member_terms, _spectra
-from entrocap.linalg import hermitian_log2
+from entrocap.entropy import _member_terms
+from entrocap.linalg import _eig, _spectra, assert_density_operator, hermitian_log2
 
 
 def shannon(probabilities):
@@ -141,7 +141,10 @@ class TestBatchedSpectralKernel:
     """The stacked member terms against the per-member public functions."""
 
     def check_members(self, images, avg, cap=60.0):
-        scores, entropies, logs = _member_terms(images, avg, cap)
+        # the bare entry reads the lower triangle and the public functions the Hermitian part, and the log2
+        # of a rounding-level kernel eigenvalue depends on which: give both the same, exactly Hermitian, input
+        images, avg = (0.5 * (a + a.conj().swapaxes(-1, -2)) for a in (np.asarray(images), np.asarray(avg)))
+        scores, entropies, logs = _member_terms(*_eig(images), *_eig(avg), cap)
         for img, score, ent, log in zip(images, scores, entropies, logs):
             assert abs(score - min(relative_entropy(img, avg), cap)) <= 1e-12  # min(inf, cap) is cap
             assert abs(ent - entropy(img)) <= 1e-12
@@ -185,11 +188,15 @@ class TestBatchedSpectralKernel:
         ],
     )
     def test_bad_member_fails_like_the_per_member_path(self, bad):
-        images = np.stack([np.eye(2) / 2, bad.astype(complex)])
+        # the checked entry rejects a stack with one bad member, as each public function rejects the member
         with pytest.raises(ValidationError):
-            entropy(bad)
-        with pytest.raises(ValidationError):
-            _member_terms(images, np.eye(2) / 2, 60.0)
+            _spectra(np.stack([np.eye(2) / 2, bad.astype(complex)]))
+        for route in ("relative_entropy", "entropies"):
+            with pytest.raises(ValidationError):
+                mutual_information(bad, identity_channel(2), route=route)
+        for public in (entropy, raw_entropy, assert_density_operator, purify):
+            with pytest.raises(ValidationError):
+                public(bad)
 
     def test_non_square_stack_rejected(self):
         with pytest.raises(ValidationError, match="square"):
@@ -418,9 +425,22 @@ class TestTensorStructuredRoute:
             raise AssertionError("the relative-entropy route must not call this")
 
         module = importlib.import_module("entrocap.entropy")  # the package attribute is the function
-        for name in ("environment_output", "tensor", "relative_entropy"):
+        for name in ("environment_output", "tensor", "relative_entropy", "apply"):
             monkeypatch.setattr(module, name, forbidden)
         assert abs(mutual_information(rho, att) - expected) <= 1e-12
+
+    def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch):
+        module = importlib.import_module("entrocap.entropy")
+        bare = module._eig
+
+        def poisoned(stack, *args, **kwargs):
+            stack = stack.copy()
+            stack[..., 0, 0] = math.nan
+            return bare(stack, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_eig", poisoned)
+        with pytest.raises(ValidationError, match="non-finite"):
+            mutual_information(thermal_state(0.5, 12), fock_attenuator(0.6, 12))
 
     def test_no_dense_joint_allocation(self):
         att, rho = fock_attenuator(0.6, 40), thermal_state(1.0, 40)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrocap import (
     CompositeLayout,
@@ -15,6 +19,7 @@ from entrocap import (
     sample_state,
     tensor,
 )
+from entrocap.linalg import _eig, _spectra
 
 
 class TestHermitianEig:
@@ -44,6 +49,34 @@ class TestHermitianEig:
     def test_non_finite_named(self, bad):
         with pytest.raises(ValidationError, match="contains non-finite entries"):
             hermitian_eig(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+class TestSpectralKernel:
+    """The bare entry against the checked entry of the spectral kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        rank=st.integers(1, 5),
+        scale=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bare_and_checked_spectra_agree_on_valid_stacks(self, d, batch, rank, scale, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((*batch, d, min(rank, d))) + 1j * rng.standard_normal((*batch, d, min(rank, d)))
+        s = g @ g.conj().swapaxes(-1, -2)
+        s = s * (scale / np.trace(s, axis1=-2, axis2=-1).real)[..., None, None]
+        s = 0.5 * (s + s.conj().swapaxes(-1, -2))  # exactly Hermitian, so both entries see the same matrices
+        (w, u), (w_checked, u_checked) = _eig(s), _spectra(s, vectors=True)
+        assert np.array_equal(w, w_checked) and np.array_equal(u, u_checked)
+        assert np.array_equal(_spectra(s), np.maximum(np.linalg.eigvalsh(s), 0.0))
+        assert (w >= 0.0).all()
+
+    def test_bare_entry_rejects_non_finite_entries(self):
+        # LAPACK returns the finite eigenvalues -1/sqrt(2), 1/sqrt(2) for this matrix, so the input is checked
+        with pytest.raises(ValidationError, match="non-finite"):
+            _eig(np.array([[math.nan, 0.5], [0.5, 1.0]], dtype=complex))
 
 
 class TestTensorPartialTrace:
