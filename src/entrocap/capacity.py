@@ -22,11 +22,11 @@ import numpy as np
 from .channels import (
     KrausChannel,
     QuantumOperation,
+    _output_and_environment,
     apply,
     complementary,
     dual_apply,
     dual_environment,
-    environment_output,
     is_cq_discrete,
     minimize_kraus,
     restrict,
@@ -294,19 +294,17 @@ def _maybe_prune(channel: QuantumOperation) -> QuantumOperation:
 
 def mutual_information_value(channel: KrausChannel, rho) -> float:
     """Fast in-optimizer evaluation of the mutual information (bits)."""
-    return (
-        entropy(rho)
-        + entropy(apply(channel, rho))
-        - entropy(environment_output(channel, rho))
-    )
+    out, env = _output_and_environment(channel, _as_matrix(rho))
+    return entropy(rho) + entropy(out) - entropy(env)
 
 
 def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
     """Gradient of the mutual information in bits; ``log2_rho`` replaces the floored ``log2 rho``."""
+    out, env = _output_and_environment(channel, rho)
     grad = (
         -(hermitian_log2(rho) if log2_rho is None else log2_rho)
-        - dual_apply(channel, hermitian_log2(apply(channel, rho)))
-        + dual_environment(channel, hermitian_log2(environment_output(channel, rho)))
+        - dual_apply(channel, hermitian_log2(out))
+        + dual_environment(channel, hermitian_log2(env))
     )
     return 0.5 * (grad + grad.conj().T)
 

@@ -139,37 +139,39 @@ class StinespringDilation:
             raise ValidationError(f"dilation is not isometric: |V†V - I| = {dev:.3e}")
 
 
-def _check_input_dim(op: QuantumOperation, rho: np.ndarray, side: str = "input"):
-    if rho.shape[0] != (op.dim_in if side == "input" else op.dim_out):
-        want = op.dim_in if side == "input" else op.dim_out
-        raise ValidationError(f"operator dim {rho.shape[0]} does not match channel {side} dim {want}")
+def _operand(op: QuantumOperation, x, side: str = "input") -> np.ndarray:
+    """``x`` as a complex array whose leading dimension is the map's ``side`` ("input" or "output") dimension."""
+    x = np.asarray(x, dtype=complex)
+    want = op.dim_in if side == "input" else op.dim_out
+    if x.shape[0] != want:
+        raise ValidationError(f"operator dim {x.shape[0]} does not match channel {side} dim {want}")
+    return x
 
 
 def apply(op: QuantumOperation, rho) -> np.ndarray:
     """Act with the map: rho -> sum_i K_i rho K_i†."""
-    rho = np.asarray(rho, dtype=complex)
-    _check_input_dim(op, rho)
     ks = op.kraus_stack()
-    tmp = ks @ rho  # (E, B, A)
-    return np.tensordot(tmp, ks.conj(), axes=([0, 2], [0, 2]))
+    return np.tensordot(ks @ _operand(op, rho), ks.conj(), axes=([0, 2], [0, 2]))  # K_i rho: (E, B, A)
 
 
 def dual_apply(op: QuantumOperation, a) -> np.ndarray:
     """Heisenberg-picture action on observables: a -> sum_i K_i† a K_i."""
-    a = np.asarray(a, dtype=complex)
-    _check_input_dim(op, a, side="output")
     ks = op.kraus_stack()
-    tmp = np.tensordot(a, ks, axes=([1], [1]))  # (B, E, A) = rows of a K_e
+    tmp = np.tensordot(_operand(op, a, "output"), ks, axes=([1], [1]))  # (B, E, A) = rows of a K_e
     return np.tensordot(ks.conj(), tmp.transpose(1, 0, 2), axes=([0, 1], [0, 1]))
 
 
 def environment_output(op: QuantumOperation, rho) -> np.ndarray:
     """State reaching the environment: Gram matrix [Tr K_i rho K_j†]_ij."""
-    rho = np.asarray(rho, dtype=complex)
-    _check_input_dim(op, rho)
     ks = op.kraus_stack()
-    tmp = ks @ rho
-    return np.tensordot(tmp, ks.conj(), axes=([1, 2], [1, 2]))
+    return np.tensordot(ks @ _operand(op, rho), ks.conj(), axes=([1, 2], [1, 2]))
+
+
+def _output_and_environment(op: QuantumOperation, rho) -> tuple[np.ndarray, np.ndarray]:
+    """``(apply(op, rho), environment_output(op, rho))`` from one product ``K_i rho`` and one ``K.conj()``."""
+    ks = op.kraus_stack()
+    tmp, conj = ks @ _operand(op, rho), ks.conj()
+    return np.tensordot(tmp, conj, axes=([0, 2], [0, 2])), np.tensordot(tmp, conj, axes=([1, 2], [1, 2]))
 
 
 def dual_environment(op: QuantumOperation, m) -> np.ndarray:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, QuantumOperation, apply, environment_output, tensor_channel, identity_channel
+from .channels import KrausChannel, QuantumOperation, _output_and_environment, apply, tensor_channel, identity_channel
 from .errors import ValidationError
 from .linalg import (
     LN2,
+    _as_matrix,
     _clip_psd,
     _eig,
     _log2_from_eig,
@@ -87,12 +88,12 @@ def _rowdot(a, b):
 
 def raw_entropy(a) -> float:
     """Plain ``-Tr A log2 A`` for a PSD operator with trace at most one."""
-    return float(_spectrum_entropy(_spectra(a), homogeneous=False))
+    return float(_spectrum_entropy(_spectra(_as_matrix(a)), homogeneous=False))
 
 
 def entropy(a) -> float:
     """Trace-homogeneous entropy; the von Neumann entropy on unit-trace states."""
-    return float(_spectrum_entropy(_spectra(a)))
+    return float(_spectrum_entropy(_spectra(_as_matrix(a))))
 
 
 def relative_entropy(a, b, support_tol: float = SUPPORT_TOL, leak_tol: float | None = None) -> float:
@@ -228,32 +229,29 @@ def chi_through(op: QuantumOperation, mu: Ensemble) -> float:
 def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy") -> float:
     """Mutual information between the input reference and the channel output.
 
-    ``route="relative_entropy"`` evaluates
-    ``H((Phi (x) Id)[rho_hat] || Phi[rho] (x) ref)`` on a canonical
-    purification ``rho_hat`` with reference marginal ``ref``; this is the
-    defining expression and also covers trace-decreasing operations.  The
-    joint state has rank <= K (the Kraus count) and the second argument is a
-    product, so the route reads both in the marginals' product eigenbasis:
-    O(K d_out d (d_out + d + K)) time, no (d_out d)^2 array.  One checked
-    eigendecomposition of rho gives the factor ``phi`` (and ``ref``, diagonal
-    in its basis), and ``Phi[rho] = sum_k m_k m_k†`` comes from ``m = K phi``.
-    ``route="entropies"`` uses ``H(rho) + H(Phi[rho]) - H(env)`` (channels
-    only); the two routes share no spectrum and agree at finite dimension.
+    ``route="relative_entropy"`` evaluates the defining ``H((Phi (x) Id)[rho_hat] || Phi[rho] (x) ref)``
+    on a canonical purification ``rho_hat`` with reference marginal ``ref``; it also covers
+    trace-decreasing operations.  One checked eigendecomposition of rho gives the factor ``phi`` (and
+    ``ref``, diagonal in its basis); ``m = K phi`` gives ``Phi[rho] = sum_k m_k m_k†`` and the joint
+    state, whose nonzero spectrum is the squared singular values of the K x d_out d factor, taken on
+    its tall side.  Both are read in the marginals' product eigenbasis: O(K d_out d (d_out + d + K))
+    time, no (d_out d)^2 array.  ``route="entropies"`` uses ``H(rho) + H(Phi[rho]) - H(env)`` (channels
+    only): one checked spectrum of rho is the boundary check and H(rho), and one product ``K_i rho``
+    gives ``Phi[rho]`` and env.  The two routes share no spectrum and agree at finite dimension.
     """
-    if route == "entropies":
-        rho = assert_density_operator(rho)
-        d = rho.shape[0]
-    elif route == "relative_entropy":
-        phi = purify(rho).vec  # one checked eigendecomposition: the boundary check and the factor
-        d = math.isqrt(len(phi))
-    else:
-        raise ValidationError(f"unknown route {route!r}")
-    if d != op.dim_in:
-        raise ValidationError("state dimension does not match the channel input")
     if route == "entropies":
         if not isinstance(op, KrausChannel):
             raise ValidationError("entropy route requires a trace-preserving channel")
-        return entropy(rho) + entropy(apply(op, rho)) - entropy(environment_output(op, rho))
+        rho = _as_matrix(rho)
+        h_rho = float(_spectrum_entropy(_spectra(rho, "state", unit_trace=True)))  # the boundary check and H(rho)
+        out, env = _output_and_environment(op, rho)  # also checks the input dimension
+        return h_rho + entropy(out) - entropy(env)
+    if route != "relative_entropy":
+        raise ValidationError(f"unknown route {route!r}")
+    phi = purify(rho).vec  # one checked eigendecomposition: the boundary check and the factor
+    d = math.isqrt(len(phi))
+    if d != op.dim_in:
+        raise ValidationError("state dimension does not match the channel input")
     phi = phi.reshape(d, d)  # phi[a, r]
     p = np.einsum("ar,ar->r", phi.conj(), phi).real  # the reference marginal, diagonal in the basis r
     kraus = op.kraus_stack()
@@ -262,7 +260,8 @@ def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy
     a, u_a = _eig(rows @ rows.conj().T, "channel output")
     c = (u_a.conj().T @ rows).reshape(len(a), len(m), d)  # the factors m[k] in the product eigenbasis
     weight = (c.real ** 2 + c.imag ** 2).sum(axis=1).ravel()
-    sv = np.linalg.svd(m.reshape(len(m), -1), compute_uv=False) ** 2
+    joint = m.reshape(len(m), -1)  # rows vec m[k]; the tall orientation takes LAPACK's cheaper SVD path
+    sv = np.linalg.svd(joint.T if joint.shape[0] < joint.shape[1] else joint, compute_uv=False) ** 2
     # support containment holds identically here, so only exact kernel
     # directions are screened; the value is finite at finite dimension
     return float(_relative_entropy_tail(sv, np.outer(a, p).ravel(), weight, 0.0, 1e-9))

@@ -43,8 +43,16 @@ TRACE_TOL = 1e-10
 LN2 = np.log(2.0)
 
 
+def _as_complex(a) -> np.ndarray:
+    """``a`` as a complex array; a ragged nested list or a non-numeric entry raises a ValidationError."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a numeric array: {exc}") from None
+
+
 def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = _as_complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -142,7 +150,7 @@ def _spectra(stack, name: str = "operator", vectors: bool = False, unit_trace: b
     """Checked entry of the spectral kernel, for operators from outside the library: one or a stack ``(..., d, d)``
     of them must be finite, Hermitian within ``HERMITICITY_TOL``, PSD within ``PSD_TOL`` and of trace 1 within
     ``tol`` (``unit_trace``) or at most ``1 + tol``.  Returns what :func:`_eig` does, without vectors unless asked."""
-    s = np.asarray(stack, dtype=complex)
+    s = _as_complex(stack)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {s.shape}")
     h = _hermitian_part(s, HERMITICITY_TOL, name)

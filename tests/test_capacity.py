@@ -292,6 +292,16 @@ class TestCeaCapacity:
         assert not res.converged
         assert res.gap > 1e-9  # wide but still certified
 
+    @pytest.mark.parametrize(
+        "cutoff, value, gap, iterations",
+        [(10, 2.317926773420586, 5.89527646610577e-06, 4), (20, 2.3187248737172466, 3.4621917492927423e-06, 2)],
+    )
+    def test_attenuator_result_is_pinned(self, cutoff, value, gap, iterations):
+        # exact values, gap and iterations: sharing the Kraus product between the output and the environment
+        # output changes no arithmetic
+        res = cea_capacity(fock_attenuator(0.6, cutoff), EnergyConstraint(number_operator(cutoff), 1.0))
+        assert (res.value, res.gap, res.iterations) == (value, gap, iterations)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             cea_capacity(identity_channel(3), EnergyConstraint(QUBIT_F, 0.5))

@@ -21,6 +21,7 @@ from entrocap import (
     fixed_marginal_ensemble,
     fock_attenuator,
     gaussian_mi_oracle,
+    hermitian_eig,
     identity_channel,
     mutual_information,
     partial_trace,
@@ -97,6 +98,37 @@ class TestEntropy:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValidationError):
             entropy(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+RAGGED = [[0.5, 0.0], [0.5]]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        entropy,
+        raw_entropy,
+        lambda a: relative_entropy(a, np.eye(2) / 2),
+        assert_density_operator,
+        purify,
+        hermitian_eig,
+        lambda a: mutual_information(a, identity_channel(2)),
+        lambda a: mutual_information(a, identity_channel(2), route="entropies"),
+    ],
+    ids=["entropy", "raw_entropy", "relative_entropy", "assert_density_operator", "purify", "hermitian_eig",
+         "mutual_information", "mutual_information_entropies"],
+)
+def test_ragged_input_is_a_validation_error(entry):
+    with pytest.raises(ValidationError, match="expected a numeric array"):
+        entry(RAGGED)
+
+
+@pytest.mark.parametrize("entry", [entropy, raw_entropy])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (4,)], ids=["stack", "non-square", "vector"])
+def test_entropy_of_a_non_square_matrix_is_a_validation_error(entry, shape):
+    a = np.stack([np.eye(2) / 2] * 2) if shape == (2, 2, 2) else np.full(shape, 0.25)
+    with pytest.raises(ValidationError, match="expected a square matrix"):
+        entry(a)
 
 
 class TestRelativeEntropy:
@@ -379,6 +411,33 @@ class TestMutualInformation:
             )
             assert mid >= ends - 1e-8
 
+    def test_entropies_route_work(self, monkeypatch):
+        # one checked spectrum of rho (the boundary check and H(rho)), one of Phi(rho), one of env, and
+        # one product K_i rho shared by Phi(rho) and env
+        calls, products = [], []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+
+        class CountingStack(np.ndarray):
+            def __matmul__(self, other):
+                products.append(np.shape(other))
+                return np.asarray(self) @ other
+
+        att, rho = fock_attenuator(0.6, 12), thermal_state(0.5, 12)
+        expected = mutual_information(rho, att, route="entropies")
+        stack = att.kraus_stack().view(CountingStack)
+        object.__setattr__(att, "kraus_stack", lambda: stack)
+        calls.clear()
+        assert mutual_information(rho, att, route="entropies") == expected
+        assert len(calls) == 3
+        assert products == [rho.shape]
+
     def test_additivity_on_products(self):
         rng = np.random.default_rng(16)
         for _ in range(15):
@@ -424,10 +483,30 @@ class TestTensorStructuredRoute:
         def forbidden(*args, **kwargs):
             raise AssertionError("the relative-entropy route must not call this")
 
-        module = importlib.import_module("entrocap.entropy")  # the package attribute is the function
-        for name in ("environment_output", "tensor", "relative_entropy", "apply"):
-            monkeypatch.setattr(module, name, forbidden)
+        # the package attribute entrocap.entropy is the function; a name a module does not bind is set
+        # anyway, so a later import of it is caught too
+        for module in ("entrocap.entropy", "entrocap.channels"):
+            for name in ("environment_output", "tensor", "relative_entropy", "apply", "_output_and_environment"):
+                monkeypatch.setattr(importlib.import_module(module), name, forbidden, raising=False)
         assert abs(mutual_information(rho, att) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("d_in, d_out, rank", [(3, 2, 2), (2, 3, 1), (4, 3, 5), (2, 2, 5), (2, 1, 3), (3, 1, 4)])
+    def test_both_svd_orientations(self, monkeypatch, d_in, d_out, rank):
+        # K < d_out d and K > d_out d: the SVD runs on the tall side of the joint factor either way
+        shapes, svd = [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        chan = sample_channel(d_in, d_out, rank, seed=10 * d_in + rank)
+        for seed, r in enumerate((None, 1)):
+            rho = sample_state(d_in, rank=r, seed=seed)
+            value = mutual_information(rho, chan)
+            assert abs(value - dense_mutual_information(rho, chan)) <= 1e-12
+            assert abs(value - mutual_information(rho, chan, route="entropies")) <= 1e-8
+        assert shapes == [(d_out * d_in, rank) if rank < d_out * d_in else (rank, d_out * d_in)] * 2
 
     def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch):
         module = importlib.import_module("entrocap.entropy")
