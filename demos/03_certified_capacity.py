@@ -1,7 +1,9 @@
 """Certified entanglement-assisted capacity under an energy bound.
 
-The optimizer is a conditional-gradient ascent whose linear subproblem is
-solved exactly by Lagrangian bisection, so every run produces a bracket
+The optimizer is a Bregman-proximal (Blahut-Arimoto) mirror ascent from the
+Gibbs state of the energy operator.  Each iterate is certified by concavity:
+the linear oracle maximizes the gradient over the energy-feasible states, with
+its multiplier found by a tangent search, so every run produces a bracket
 [value, value + gap] that provably contains the optimum.
 """
 

@@ -435,29 +435,36 @@ def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
     return state if state_hi is None else state_hi
 
 
-def _retilt(weights, energies, bound, start=None):
-    """Gibbs re-tilt ``p ~ w exp(-beta f)`` at the least rate beta that makes the mean energy feasible.
+def _retilt(weights, energies, bound, rates):
+    """Gibbs re-tilts ``p_r ~ w_r exp(-beta_r f_r)`` of the rows of ``(R, m)`` stacks at the least rates beta_r
+    that make each row's mean energy feasible; returns ``(p, beta)``.
 
-    Given a ``start`` rate, the search begins there and ``(p, beta)`` is returned.  A ValidationError
-    if the least energy on the support of ``weights`` exceeds the bound."""
-    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    w = w / w.sum()
+    One stacked pass normalizes the weights and finds the rows above the bound and the moments ``[w, w c, w c^2]``
+    of the centred energies ``c = f - bound``.  Each row above the bound runs one search from ``rates[r]``; its tilt
+    is one exp and one product ``(z, s1, s2)``, with excess ``s1 / z`` and slope ``(s1 / z)^2 - s2 / z``.  A
+    ValidationError if the least energy on the support of a row's weights exceeds the bound."""
+    w = np.maximum(weights, 0.0)
+    w = w / w.sum(axis=-1, keepdims=True)
     f = np.asarray(energies, dtype=float)
-    if float(w @ f) <= bound + 1e-12:
-        return w if start is None else (w, 0.0)
-    least = float(f[w > 0.0].min())  # the least energy the tilt can reach is the support's
-    if least > bound + 1e-12:
-        raise ValidationError("no re-tilt can restore feasibility")
-    above = f - f.min()
+    c = f - bound
+    wc = w * c
+    search, least = wc.sum(axis=-1) > 1e-12, np.where(w > 0.0, c, math.inf).min(axis=-1, keepdims=True)
+    if (search & (least[:, 0] > 1e-12)).any():
+        raise ValidationError("no re-tilt can restore feasibility")  # the tilt reaches the support's least energy
+    # measured from the support's least energy, the tilt keeps that member at exp(0) = 1, so z > 0 at every rate
+    above, moments = np.maximum(c - least, 0.0), np.array([w, wc, wc * c]).transpose(1, 2, 0)
+    roundings = 4.0 * np.finfo(float).eps * np.abs(f).max(axis=-1)
+    p, beta = w.copy(), np.zeros(len(w))
+    for r in np.flatnonzero(search).tolist():
 
-    def tilt(beta):
-        p = w * np.exp(-beta * above)
-        p = p / p.sum()
-        mean = float(p @ f)
-        return (p, beta), mean - bound, -float(p @ (f - mean) ** 2)
+        def tilt(b, above=above[r], moments=moments[r]):
+            e = np.exp(-b * above)
+            z, s1, s2 = (e @ moments).tolist()
+            return (b, e, z), s1 / z, (s1 / z) ** 2 - s2 / z
 
-    p, beta = _least_feasible_rate(tilt, 4.0 * np.finfo(float).eps * float(np.abs(f).max()), start or 0.0)
-    return p if start is None else (p, beta)
+        beta[r], e, z = _least_feasible_rate(tilt, float(roundings[r]), float(rates[r]))
+        p[r] = w[r] * e / z
+    return p, beta
 
 
 def _pure_images(kraus, vectors):
@@ -491,9 +498,10 @@ def chi_capacity(
     stack, mapped by one einsum.  A step makes 3 batched eigensolver calls:
     the re-tilted average, then the candidates' images and their average,
     whose eigenpairs the next step reuses (a rejected restart keeps its own).
-    The re-tilts run per restart, each starting at the rate its restart found
-    last, and accept/reject masks update each restart's own step, best value
-    and stall history, so each restart follows its sequential path.
+    Each re-tilt is one call over the stack (:func:`_retilt`); each restart's
+    search starts at the rate its restart found last, and accept/reject masks
+    update each restart's own step, best value and stall history, so each
+    restart follows its sequential path.
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
@@ -522,10 +530,11 @@ def chi_capacity(
         energies = energies_of(vecs)
         if energies.min() > bound:
             vecs[-1], energies[-1] = fu[:, 0], float(fw[0])
-        return vecs, energies, _retilt(np.full(m, 1.0 / m), energies, bound)
+        return vecs, energies
 
     # per running restart: members, energies, weights, best value and state, step, restart index
-    vecs, energies, weights = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
+    vecs, energies = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
+    weights, _ = _retilt(np.full(energies.shape, 1.0 / m), energies, bound, np.zeros(opts.restarts))
     state, best = _ensemble_spectra(kraus, weights, vecs)
     best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
     history, outcomes, rate_a, rate_b = [best], [], np.zeros(opts.restarts), np.zeros(opts.restarts)
@@ -534,8 +543,7 @@ def chi_capacity(
         amps, images, p, u, q, v = state
         scores, member_entropies, logs = _member_terms(p, u, q, v, _RELENT_CAP_BITS)
         weights = np.clip(weights * np.exp2(scores - scores.max(axis=-1, keepdims=True)), 1e-300, None)
-        tilted = [_retilt(w, e, bound, s) for w, e, s in zip(weights, energies, rate_a)]
-        weights, rate_a = (np.array(a) for a in zip(*tilted))
+        weights, rate_a = _retilt(weights, energies, bound, rate_a)
 
         # (b) projected gradient step: y_i = sum_k K_k† (log2 img_i - log2 avg) K_k v_i
         q, v = _eig(np.einsum("...i,...ibc->...bc", weights, images), "average image")
@@ -546,8 +554,7 @@ def chi_capacity(
         cand_energies = energies_of(cand)
         feasible = np.where(weights > 0.0, cand_energies, math.inf).min(axis=-1) <= bound
         cand_weights, gain = weights.copy(), np.full(len(ids), -math.inf)
-        for r in np.flatnonzero(feasible):
-            cand_weights[r], rate_b[r] = _retilt(weights[r], cand_energies[r], bound, rate_b[r])
+        cand_weights[feasible], rate_b[feasible] = _retilt(weights[feasible], cand_energies[feasible], bound, rate_b[feasible])
         if feasible.any():
             cand_state, gain[feasible] = _ensemble_spectra(kraus, cand_weights[feasible], cand[feasible])
         accept = gain >= best - 1e-12

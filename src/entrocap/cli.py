@@ -29,7 +29,7 @@ from .capacity import (
     truncation_convergence,
 )
 from .channels import apply, environment_output
-from .entropy import chi_through, coherent_information, entropy, mutual_information
+from .entropy import chi_through, entropy, mutual_information
 from .errors import ValidationError
 from .gaussian import (
     classify_gaussian,
@@ -204,7 +204,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
                 "mi_bits": primary,
                 "mi_entropy_route_bits": cross,
                 "route_discrepancy_bits": abs(primary - cross),
-                "coherent_information_bits": coherent_information(rho, channel),
+                "coherent_information_bits": primary - entropy(rho),  # the same route as mi_bits
             }
             lines.append(
                 f"mutual information {primary:.9f} bits "

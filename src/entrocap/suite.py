@@ -253,7 +253,7 @@ def check_chi_data_processing(seed=0, count=30):
     return worst <= 1e-8, f"max data-processing excess {worst:.2e} (tol 1e-8)"
 
 
-def check_fw_feasible_ascent(seed=0):
+def check_cea_feasible_ascent(seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(4):
         phi = _random_channel(rng, d_in=2, d_out=2)
@@ -388,7 +388,7 @@ PROPERTIES = {
     "pure-ensemble-identity": check_pure_ensemble_identity,
     "mi-product-additivity": check_mi_additivity,
     "chi-data-processing": check_chi_data_processing,
-    "fw-feasible-ascent": check_fw_feasible_ascent,
+    "cea-feasible-ascent": check_cea_feasible_ascent,
     "certificate-soundness": check_certificate_soundness,
     "mi-chain-identity": check_mi_chain_identity,
     "cea-dominates-chi": check_cea_dominates_chi,

@@ -706,7 +706,7 @@ class TestChiCapacity:
             weights = rng.dirichlet(np.ones(m))
             energies = rng.uniform(0.0, 3.0, m)
             bound = float(rng.uniform(energies.min(), weights @ energies))
-            p = capacity._retilt(weights, energies, bound)
+            p = capacity._retilt(weights[None], energies[None], bound, np.zeros(1))[0][0]
             # reference: the exponential tilt at the bisected rate
             lo, hi = 0.0, 1.0
             tilt = lambda beta: weights * np.exp(-beta * (energies - energies.min()))
@@ -750,10 +750,10 @@ class TestChiCapacity:
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (lo, mid) if tilt(mid) @ energies / tilt(mid).sum() <= bound else (mid, hi)
-            beta_star = capacity._retilt(weights, energies, bound, 0.0)[1]  # the cold search's rate
+            beta_star = capacity._retilt(weights[None], energies[None], bound, np.zeros(1))[1][0]  # the cold search's rate
             for factor in (0.0, 0.5, 1.0, 2.0, 50.0):
                 rates.clear()
-                p, beta = capacity._retilt(weights, energies, bound, factor * beta_star)
+                (p,), (beta,) = capacity._retilt(weights[None], energies[None], bound, np.array([factor * beta_star]))
                 assert p @ energies <= bound
                 assert np.abs(p - tilt(hi) / tilt(hi).sum()).max() <= 1e-12
                 assert np.abs(p - tilt(beta) / tilt(beta).sum()).max() <= 1e-14  # the rate returned is the one used
@@ -763,7 +763,72 @@ class TestChiCapacity:
     def test_retilt_rejects_a_support_above_the_bound(self):
         # the zero-weight member's energy is feasible, but no tilt can move weight onto it
         with pytest.raises(ValidationError, match="no re-tilt"):
-            capacity._retilt(np.array([0.0, 1.0]), np.array([0.0, 5.0]), 1.0)
+            capacity._retilt(np.array([[0.0, 1.0]]), np.array([[0.0, 5.0]]), 1.0, np.zeros(1))
+
+    @staticmethod
+    def bisected_tilt(weights, energies, bound):
+        """The exponential tilt of ``weights`` at the bisected least feasible rate."""
+        w = weights / weights.sum()
+        if w @ energies <= bound + 1e-12:
+            return w
+        lo, hi = 0.0, 1.0
+        above = np.maximum(energies - energies[w > 0.0].min(), 0.0)  # a zero-weight member adds 0, not inf * 0
+        tilt = lambda beta: w * np.exp(-beta * above)
+        while tilt(hi) @ energies / tilt(hi).sum() > bound:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if tilt(mid) @ energies / tilt(mid).sum() <= bound else (mid, hi)
+        return tilt(hi) / tilt(hi).sum()
+
+    def test_stacked_retilt_matches_the_rowwise_reference(self):
+        rng = np.random.default_rng(18)
+        bound, factors = 1.0, (0.0, 0.5, 1.0, 2.0, 50.0)
+        searched = []  # random problems whose mean energy exceeds the bound; the least energy lies below it
+        while len(searched) < 2 * len(factors):
+            w, f = rng.dirichlet(np.ones(6)), rng.uniform(0.0, 3.0, 6)
+            f[rng.integers(6)] = rng.uniform(0.0, bound)
+            if w @ f > bound + 1e-3:
+                searched.append((w, f))
+        zero_member = (np.array([0.0, 0.3, 0.3, 0.2, 0.1, 0.1]), np.array([0.0, 0.5, 2.0, 3.0, 1.5, 2.5]))
+        # the bound at the support's least energy; below it, a zero-weight member the tilt's exp would underflow from
+        at_least = (np.array([0.0, 0.2, 0.2, 0.2, 0.2, 0.2]), bound + np.array([-30.0, 0.0, 0.5, 2.0, 0.25, 3.0]))
+        feasible = (rng.dirichlet(np.ones(6)), rng.uniform(0.0, bound, 6))
+        rows = [feasible, *searched, zero_member, at_least, feasible]
+        weights, energies = (np.array(a) for a in zip(*rows))
+        cold_p, cold_rates = capacity._retilt(weights, energies, bound, np.zeros(len(rows)))
+        starts = cold_rates * np.array([0.0, *factors, *factors, 1.0, 1.0, 0.0])
+        p, rates = capacity._retilt(weights, energies, bound, starts)
+        unchanged = weights[[0, -1]] / weights[[0, -1]].sum(axis=-1, keepdims=True)  # the feasible rows' weights
+        for tilted in (cold_p, p):
+            assert (tilted[[0, -1]] == unchanged).all()
+            for row, (w, f) in zip(tilted, rows):
+                assert row @ f <= bound + 1e-12
+                assert np.abs(row - self.bisected_tilt(w, f, bound)).max() <= 1e-12
+        assert rates[0] == rates[-1] == 0.0 and (rates[1:-1] > 0.0).all()
+        assert p[-3][0] == p[-2][0] == 0.0 and p[-2][1] > 1.0 - 1e-12  # zero members stay zero; all goes to the least
+        for r in range(len(rows)):  # an infeasible support in any row raises
+            lifted = energies.copy()
+            lifted[r] = np.where(weights[r] > 0.0, bound + 0.5, 0.0)
+            with pytest.raises(ValidationError, match="no re-tilt"):
+                capacity._retilt(weights, lifted, bound, starts)
+
+    def test_retilt_excess_and_slope_are_the_mean_energy_and_its_derivative(self, monkeypatch):
+        tilts, search = [], capacity._least_feasible_rate
+        spy = lambda tilt, *args: tilts.append(tilt) or search(tilt, *args)
+        monkeypatch.setattr(capacity, "_least_feasible_rate", spy)
+        rng = np.random.default_rng(19)
+        weights, energies, bound = rng.dirichlet(np.ones(5), size=3), rng.uniform(1.0, 3.0, (3, 5)), 0.8
+        energies[:, 0] = 0.1
+        capacity._retilt(weights, energies, bound, np.zeros(3))
+        assert len(tilts) == 3
+        for tilt, w, f in zip(tilts, weights, energies):
+            for beta in (0.0, 0.3, 2.0):
+                p = w * np.exp(-beta * f)
+                p /= p.sum()
+                _, excess, slope = tilt(beta)
+                assert abs(excess - (p @ f - bound)) <= 1e-12
+                assert abs(slope + p @ (f - p @ f) ** 2) <= 1e-12  # minus the variance of the energy under p
 
     def test_rate_search_fails_closed_on_a_non_finite_excess(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -775,6 +840,17 @@ class TestChiCapacity:
         spec = load_spec(str(SPECS / "identity_qubit.json"))
         chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
         assert len(rates) <= 2116  # 1924 plus 10%
+
+    @pytest.mark.parametrize(
+        "name, value, iterations, converged",
+        [("identity_qubit", 0.8112780065977824, 300, False), ("cq_qutrit", 1.3002068332825503, 152, True)],
+    )
+    def test_spec_results_are_pinned(self, name, value, iterations, converged):
+        # recorded before the re-tilts were stacked; each restart's path must not move
+        spec = load_spec(str(SPECS / f"{name}.json"))
+        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
+        assert abs(res.value - value) <= 1e-12
+        assert (res.iterations, res.converged) == (iterations, converged)
 
     @pytest.mark.parametrize(
         "name, seed",

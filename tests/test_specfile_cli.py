@@ -309,6 +309,37 @@ class TestReports:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("name", ["identity_qubit", "cq_qutrit"])
+    def test_channel_mi_evaluates_each_route_once(self, tmp_path, monkeypatch, name):
+        import importlib
+
+        from entrocap import cli, coherent_information, mutual_information
+
+        routes = []
+
+        def counting(rho, op, route="relative_entropy"):
+            routes.append(route)
+            return mutual_information(rho, op, route=route)
+
+        for module in (cli, importlib.import_module("entrocap.entropy")):
+            monkeypatch.setattr(module, "mutual_information", counting)
+        out = tmp_path / "report.json"
+        assert main(["mi", f"{SPECS}/{name}.json", "--report", str(out)]) == 0
+        assert sorted(routes) == ["entropies", "relative_entropy"]
+        monkeypatch.undo()
+        # the bytes of the report whose coherent information makes its own relative-entropy evaluation
+        spec = load_spec(f"{SPECS}/{name}.json")
+        rho, channel = cli._default_state(spec), spec.channel
+        primary, cross = mutual_information(rho, channel), mutual_information(rho, channel, route="entropies")
+        results = {
+            "mi_bits": primary,
+            "mi_entropy_route_bits": cross,
+            "route_discrepancy_bits": abs(primary - cross),
+            "coherent_information_bits": coherent_information(rho, channel),
+        }
+        expected = {**json.loads(out.read_text()), "results": results}
+        assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", ["identity_qubit", "cq_qutrit"])
     @pytest.mark.parametrize("command", ["mi", "cea", "chi", "truncation", "prop1", "coincidence"])
     def test_report_is_plain_json(self, tmp_path, name, command):
         # a numpy scalar anywhere in the results makes json.dump fail after the solve
