@@ -33,7 +33,7 @@ from .channels import (
     tensor_channel,
     truncate,
 )
-from .entropy import Ensemble, _member_terms, _rowdot, _spectrum_entropy, chi_through, entropy
+from .entropy import Ensemble, _member_terms, _rowdot, _spectrum_entropy, chi_through, mutual_information
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
     LN2,
@@ -43,7 +43,6 @@ from .linalg import (
     _spectra,
     assert_density_operator,
     assert_hermitian,
-    hermitian_eig,
     hermitian_log2,
     sample_isometry,
     tensor,
@@ -131,8 +130,6 @@ class OptimizerOptions:
     """Optimizer settings.
 
     ``restarts`` and ``seed`` apply only to the heuristic chi optimizers.
-    ``line_search_tol`` is validated but has no effect: the certified solver
-    has no line search.  It stays so that existing callers keep working.
     """
 
     max_iterations: int = 300
@@ -140,7 +137,6 @@ class OptimizerOptions:
     restarts: int = 1
     seed: int = 0
     epsilon: float = 1e-9
-    line_search_tol: float = 1e-10
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -149,7 +145,6 @@ class OptimizerOptions:
             ("seed", self.seed >= 0, ">= 0"),
             ("gap_tolerance", 0.0 <= self.gap_tolerance < math.inf, "finite and >= 0"),
             ("epsilon", 0.0 <= self.epsilon < 1.0, "in [0, 1)"),
-            ("line_search_tol", 0.0 < self.line_search_tol < 1.0, "in (0, 1)"),
         ):
             if not ok:
                 raise ValidationError(f"optimizer option {name} must be {rule}, got {getattr(self, name)!r}")
@@ -293,9 +288,8 @@ def _maybe_prune(channel: QuantumOperation) -> QuantumOperation:
 
 
 def mutual_information_value(channel: KrausChannel, rho) -> float:
-    """Fast in-optimizer evaluation of the mutual information (bits)."""
-    out, env = _output_and_environment(channel, _as_matrix(rho))
-    return entropy(rho) + entropy(out) - entropy(env)
+    """In-optimizer evaluation of the mutual information (bits): the entropies route."""
+    return mutual_information(rho, channel, route="entropies")
 
 
 def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
@@ -676,7 +670,7 @@ def chi_at_state(
     keep = weights > 1e-12
     rows = x[keep] / np.sqrt(weights[keep])[:, None]
     mu = Ensemble(weights[keep] / weights[keep].sum(), tuple(np.outer(r, r.conj()) for r in rows))
-    value = entropy(apply(channel, rho)) - best_hull
+    value = float(_spectrum_entropy(_eig(apply(channel, rho), "channel output")[0])) - best_hull
     return CapacityResult(
         value=value,
         optimizer=mu,
@@ -728,7 +722,7 @@ def coincidence_certificate(
     """
     chi = chi_capacity(channel, constraint, opts=opts)
     avg = chi.optimizer.barycenter()
-    w, u = hermitian_eig(avg)
+    w, u = (a[..., ::-1] for a in _eig(avg, "barycenter"))  # eigenvalues descending
     mask = w > support_tol
     basis = u[:, mask]
     sub = restrict(channel, basis)

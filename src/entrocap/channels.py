@@ -17,7 +17,9 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     CompositeLayout,
-    assert_density_operator,
+    _as_matrix,
+    _eig,
+    _spectra,
     hermitian_basis,
     hermitian_eig,
     sample_isometry,
@@ -217,17 +219,22 @@ def unitary_channel(u) -> KrausChannel:
     return KrausChannel((np.asarray(u, dtype=complex),))
 
 
+def _state_eig(state, name: str):
+    """Eigenpairs of a public state, eigenvalues descending, from the one checked spectrum that validates it."""
+    w, u = _spectra(_as_matrix(state), name, vectors=True, unit_trace=True)
+    return w[::-1], u[:, ::-1]
+
+
 def replacement_channel(tau, dim_in: int | None = None) -> KrausChannel:
     """Channel that discards the input and prepares the fixed state ``tau``."""
-    tau = assert_density_operator(tau, name="replacement target")
-    d_in = tau.shape[0] if dim_in is None else int(dim_in)
-    w, u = hermitian_eig(tau)
+    w, u = _state_eig(tau, "replacement target")
+    d_in = len(w) if dim_in is None else int(dim_in)
     kraus = []
     for m in range(len(w)):
         if w[m] <= 1e-14:
             continue
         for a in range(d_in):
-            k = np.zeros((tau.shape[0], d_in), dtype=complex)
+            k = np.zeros((len(w), d_in), dtype=complex)
             k[:, a] = np.sqrt(w[m]) * u[:, m]
             kraus.append(k)
     return KrausChannel(tuple(kraus))
@@ -269,8 +276,8 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
     n = int(n)
     if n < 1 or n > d_out:
         raise ValidationError(f"truncation rank must lie in [1, {d_out}], got {n}")
-    tau = assert_density_operator(tau, name="truncation target")
-    if tau.shape[0] != d_out:
+    w, u = _state_eig(tau, "truncation target")
+    if len(w) != d_out:
         raise ValidationError("truncation target must live on the output space")
     if ordering is None:
         basis = np.eye(d_out, dtype=complex)
@@ -280,7 +287,6 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
             raise ValidationError("ordering observable must live on the output space")
     lead, rest = basis[:, :n], basis[:, n:]
     proj_kraus = [lead @ lead.conj().T]
-    w, u = hermitian_eig(tau)
     for m in range(len(w)):
         if w[m] <= 1e-14:
             continue
@@ -292,16 +298,15 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
 
 def cq_channel(states, dim_in: int | None = None) -> KrausChannel:
     """Discrete classical-quantum channel: rho -> sum_k <k|rho|k> sigma_k."""
-    sigmas = [assert_density_operator(s, name=f"sigma_{k}") for k, s in enumerate(states)]
-    d_in = len(sigmas) if dim_in is None else int(dim_in)
-    if d_in != len(sigmas):
+    spectra = [_state_eig(s, f"sigma_{k}") for k, s in enumerate(states)]
+    d_in = len(spectra) if dim_in is None else int(dim_in)
+    if d_in != len(spectra):
         raise ValidationError(f"need one output state per input basis vector ({d_in})")
-    d_out = sigmas[0].shape[0]
-    if any(s.shape[0] != d_out for s in sigmas):
+    d_out = len(spectra[0][0])
+    if any(len(w) != d_out for w, _ in spectra):
         raise ValidationError("all output states must share one dimension")
     kraus = []
-    for k, sigma in enumerate(sigmas):
-        w, u = hermitian_eig(sigma)
+    for k, (w, u) in enumerate(spectra):
         for m in range(len(w)):
             if w[m] <= 1e-14:
                 continue
@@ -383,10 +388,10 @@ def minimize_kraus(op: QuantumOperation, cutoff: float = 1e-12) -> QuantumOperat
     d_in, d_out = op.dim_in, op.dim_out
     vecs = np.stack([k.reshape(-1) for k in op.kraus], axis=1)  # (d_out*d_in, E)
     choi = vecs @ vecs.conj().T
-    w, u = hermitian_eig(choi)
+    w, u = _eig(0.5 * (choi + choi.conj().T), "Choi matrix")  # exactly Hermitian: the product is only to rounding
     kraus = tuple(
         np.sqrt(w[m]) * u[:, m].reshape(d_out, d_in)
-        for m in range(len(w))
+        for m in reversed(range(len(w)))  # eigenvalues descending
         if w[m] > cutoff
     )
     if not kraus:

@@ -6,7 +6,7 @@ machine-readable JSON report (stable schema, no volatile fields, so output
 is byte-identical under fixed seed and flags).
 
 Exit codes: 0 success (including flagged non-convergence), 2 spec parse
-failure, 3 invariant violation.
+failure or an unwritable ``--report`` path, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -349,17 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = {
-        "seed": args.seed,
-        "gap_tolerance": args.gap_tolerance,
-        "restarts": args.restarts,
-        "max_iterations": args.max_iterations,
-        "epsilon": args.epsilon,
-        "members": args.members,
-        "cutoff": args.cutoff,
-        "mean_photons": args.mean_photons,
-        "ranks": args.ranks,
-    }
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "spec", "report")}
     try:
         code, report, human = run(args.command, args.spec, flags)
     except SpecFileError as exc:
@@ -370,9 +360,13 @@ def main(argv=None) -> int:
         return 3
     print(human)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -113,8 +113,6 @@ class TestOptimizerOptions:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("line_search_tol", 0.0),
-            ("line_search_tol", 1.0),
             ("gap_tolerance", math.nan),
             ("epsilon", 1.0),
             ("epsilon", math.nan),
@@ -616,23 +614,14 @@ class TestChiCapacity:
             assert con.is_feasible(res.optimizer.barycenter(), slack=1e-9)
 
 
-    def test_eigensolver_calls_per_iteration(self, monkeypatch):
+    def test_eigensolver_calls_per_iteration(self, eig_calls):
         # a stack step makes at most 3 batched calls, since the next step takes its spectra from the accepted
         # candidate or from its own step (b); the per-member path made about 50 per iteration
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
         res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=1, max_iterations=50))
         assert res.iterations >= 1
-        # the start diagonalizes F and the first ensemble; the final check validates each member and
-        # takes its relative entropy to the average
-        assert len(calls) <= 3 * res.iterations + 3 + 3 * len(res.optimizer)
+        # the start diagonalizes F and the first ensemble; the final check validates the members in one
+        # call and takes the chi value from two
+        assert len(eig_calls) <= 3 * res.iterations + 6
 
     @pytest.mark.parametrize("poisoned_call", [0, 1, 3, 4, 40])
     def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch, poisoned_call):

@@ -291,6 +291,29 @@ class TestCqChannel:
         with pytest.raises(ValidationError):
             cq_channel([np.diag([1.0, 0.5]), np.eye(2) / 2])
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_one_checked_spectrum_per_state(self, eig_calls, k):
+        sigmas = [sample_state(2, seed=80 + j) for j in range(k)]
+        eig_calls.clear()
+        cq_channel(sigmas)
+        assert len(eig_calls) == k + 1  # and one for the trace-preservation check
+
+    def test_kraus_follow_descending_eigenvalues(self):
+        chan = cq_channel([np.diag([0.2, 0.8]), np.diag([0.7, 0.3])])
+        norms = [float(np.linalg.norm(k)) for k in chan.kraus]
+        assert np.allclose(np.square(norms), [0.8, 0.2, 0.7, 0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["replacement_channel", "truncate"])
+def test_target_state_diagonalized_once(eig_calls, name):
+    tau, ident = sample_state(3, seed=85), identity_channel(3)
+    eig_calls.clear()
+    if name == "truncate":
+        truncate(ident, 2, tau)
+    else:
+        replacement_channel(tau, dim_in=2)
+    assert len(eig_calls) == 2  # the checked spectrum of tau and the trace-preservation check
+
 
 class TestCqDetection:
     def test_cq_channel_detected(self):

@@ -7,6 +7,7 @@ import pytest
 
 from entrocap import (
     Ensemble,
+    KrausChannel,
     QuantumOperation,
     ValidationError,
     apply,
@@ -164,6 +165,13 @@ class TestRelativeEntropy:
         assert abs(relative_entropy(a, b) - expect) <= 1e-12
         assert relative_entropy(a, b) >= 0.0
 
+    def test_trace_above_one_rejected(self):
+        # both arguments go through the checked entry, which bounds the trace by 1 + TRACE_TOL as entropy does
+        with pytest.raises(ValidationError, match="first argument trace"):
+            relative_entropy(3 * np.eye(2), np.eye(2))
+        with pytest.raises(ValidationError, match="second argument trace"):
+            relative_entropy(np.eye(2) / 2, np.eye(2))
+
 
 def pure_images(op, vectors):
     return np.stack([apply(op, np.outer(v, v.conj())) for v in vectors])
@@ -284,6 +292,26 @@ class TestEnsembles:
         with pytest.raises(ValidationError):
             Ensemble(np.array([0.6, 0.6]), (np.eye(2) / 2, np.eye(2) / 2))
 
+    def test_members_validated_as_one_stack(self, eig_calls):
+        states = tuple(sample_state(3, seed=s) for s in range(7))
+        mu = Ensemble(np.full(7, 1.0 / 7), states)
+        assert len(eig_calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(mu.states, states))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.eye(3) / 2, "ensemble member trace"),
+            (np.diag([1.2, -0.2, 0.0]), "ensemble member has negative eigenvalue"),
+            (np.eye(2) / 2, "share one dimension"),
+            (np.full((3, 2), 0.1), "expected a square matrix"),
+        ],
+        ids=["trace", "negative", "dimension", "non-square"],
+    )
+    def test_bad_member_rejected(self, bad, match):
+        with pytest.raises(ValidationError, match=match):
+            Ensemble(np.full(3, 1.0 / 3), (np.eye(3) / 3, bad, np.eye(3) / 3))
+
     def test_barycenter(self):
         mu = pure_state_ensemble([0.5, 0.5], [np.array([1, 0]), np.array([0, 1])])
         assert np.abs(mu.barycenter() - np.eye(2) / 2).max() <= 1e-12
@@ -320,7 +348,48 @@ class TestEnsembles:
             assert -1e-10 <= chi_quantity(mu) <= entropy(mu.barycenter()) + 1e-8
 
 
+def chi_reference(op, mu):
+    """The per-member form: one relative entropy (raw entropies for an operation) per member of positive weight."""
+    images = [apply(op, s) for s in mu.states]
+    avg = apply(op, mu.barycenter())
+    if isinstance(op, KrausChannel):
+        return float(sum(p * relative_entropy(img, avg) for p, img in zip(mu.weights, images) if p > 0.0))
+    return raw_entropy(avg) - float(sum(p * raw_entropy(img) for p, img in zip(mu.weights, images) if p > 0.0))
+
+
+def random_ensemble(rng, dim, m):
+    """An ensemble of m states of random rank on which about a third of the weights are zero."""
+    weights = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.35)
+    weights[int(rng.integers(m))] += 0.1
+    states = tuple(sample_state(dim, int(rng.integers(1, dim + 1)), seed=int(rng.integers(2**31))) for _ in range(m))
+    return Ensemble(weights / weights.sum(), states)
+
+
 class TestChiThrough:
+    def test_matches_per_member_form(self):
+        rng = np.random.default_rng(62)
+        zero_weights = 0
+        for _ in range(40):
+            d_in, m = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            mu = random_ensemble(rng, d_in, m)
+            zero_weights += int((mu.weights == 0.0).sum())
+            chan = random_channel(rng, d_in, int(rng.integers(1, 5)))
+            # a trace-decreasing operation (the raw-entropy branch) whose images have unequal traces
+            scale = rng.uniform(0.2, 1.0, d_in)  # K_k D with a contraction D
+            op = QuantumOperation(tuple(k * scale for k in chan.kraus))
+            assert abs(chi_quantity(mu) - chi_reference(identity_channel(d_in), mu)) <= 1e-12
+            assert abs(chi_through(chan, mu) - chi_reference(chan, mu)) <= 1e-12
+            assert abs(chi_through(op, mu) - chi_reference(op, mu)) <= 1e-12
+        assert zero_weights >= 10
+
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_two_eigensolver_calls(self, eig_calls, m):
+        rng = np.random.default_rng(63 + m)
+        chan, mu = random_channel(rng, 3, 4), random_ensemble(rng, 3, m)
+        eig_calls.clear()
+        chi_through(chan, mu)
+        assert len(eig_calls) == 2
+
     def test_identity_channel(self):
         mu = pure_state_ensemble([0.4, 0.6], [np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])
         assert abs(chi_through(identity_channel(2), mu) - chi_quantity(mu)) <= 1e-10
@@ -411,18 +480,10 @@ class TestMutualInformation:
             )
             assert mid >= ends - 1e-8
 
-    def test_entropies_route_work(self, monkeypatch):
+    def test_entropies_route_work(self, eig_calls):
         # one checked spectrum of rho (the boundary check and H(rho)), one of Phi(rho), one of env, and
         # one product K_i rho shared by Phi(rho) and env
-        calls, products = [], []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        calls, products = eig_calls, []
 
         class CountingStack(np.ndarray):
             def __matmul__(self, other):

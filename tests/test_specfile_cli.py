@@ -286,6 +286,26 @@ class TestReports:
         assert doc["schema_version"] == 1
         assert doc["command"] == "validate"
 
+    def test_unwritable_report_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "report.json"
+        assert main(["validate", f"{SPECS}/identity_qubit.json", "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "channel ok" in captured.out  # the computation ran and printed its report
+        assert captured.err.startswith("report error: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_report_flags_are_the_parser_options(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["validate", f"{SPECS}/identity_qubit.json", "--seed", "4", "--gap-tol", "1e-6", "--restarts", "2",
+                "--max-iterations", "7", "--epsilon", "1e-8", "--members", "3", "--cutoff", "5",
+                "--mean-photons", "0.5", "--ranks", "1,2", "--report", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["flags"] == {
+            "seed": 4, "gap_tolerance": 1e-6, "restarts": 2, "max_iterations": 7, "epsilon": 1e-8,
+            "members": 3, "cutoff": 5, "mean_photons": 0.5, "ranks": "1,2",
+        }
+
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         import argparse
         from types import SimpleNamespace
