@@ -53,7 +53,7 @@ for n in (1, 2, 3):
     proj = np.zeros((3, 3), dtype=complex)
     for k in range(n):
         proj[k, k] = 1.0
-    op = QuantumOperation(tuple(proj @ k for k in channel.kraus))
+    op = QuantumOperation(proj @ channel.kraus_stack())  # an (E, B, A) stack is a Kraus family as it stands
     kept = float(np.trace(apply(op, rho)).real)
     chi_n = chi_through(op, mu)
     chi_hat_n = chi_through(complementary(op), mu)

@@ -14,6 +14,7 @@ heuristic lower bounds.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -139,14 +140,20 @@ class OptimizerOptions:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        for name, ok, rule in (
-            ("max_iterations", self.max_iterations >= 1, ">= 1"),
-            ("restarts", self.restarts >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("gap_tolerance", 0.0 <= self.gap_tolerance < math.inf, "finite and >= 0"),
-            ("epsilon", 0.0 <= self.epsilon < 1.0, "in [0, 1)"),
+        def integer(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for name, ok, rule in (  # in order: the range rows only see integers
+            ("max_iterations", integer, "an integer"),
+            ("restarts", integer, "an integer"),
+            ("seed", integer, "an integer"),
+            ("max_iterations", lambda v: v >= 1, ">= 1"),
+            ("restarts", lambda v: v >= 1, ">= 1"),
+            ("seed", lambda v: v >= 0, ">= 0"),
+            ("gap_tolerance", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            ("epsilon", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
         ):
-            if not ok:
+            if not ok(getattr(self, name)):
                 raise ValidationError(f"optimizer option {name} must be {rule}, got {getattr(self, name)!r}")
 
 

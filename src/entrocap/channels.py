@@ -9,6 +9,7 @@ contracts that could see the ordering are stated spectrum-level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     CompositeLayout,
+    _as_complex,
     _as_matrix,
     _eig,
     _spectra,
@@ -63,46 +65,42 @@ CHANNEL_TOL = 1e-11
 
 @dataclass(frozen=True)
 class QuantumOperation:
-    """Completely positive trace-non-increasing map given by Kraus operators."""
+    """Completely positive trace-non-increasing map given by Kraus operators.
+
+    ``kraus`` is a sequence of matrices or one ``(E, B, A)`` array; it is stored as the
+    tuple of the rows of one owned complex stack.
+    """
 
     kraus: tuple
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ValidationError("Kraus list must be nonempty")
-        ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        shape = ks[0].shape
-        if len(shape) != 2:
-            raise ValidationError("Kraus operators must be matrices")
-        if any(k.shape != shape for k in ks):
-            raise ValidationError("all Kraus operators must share one shape")
-        object.__setattr__(self, "kraus", ks)
-        object.__setattr__(self, "_stack", np.stack(ks, axis=0))
-        self._check_normalization()
-
-    def _check_normalization(self):
-        g = self.kraus_gram()
-        slack = np.eye(self.dim_in) - g
-        w_min = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T)).min())
-        if not w_min >= -CHANNEL_TOL:
-            raise ValidationError(
-                f"operation increases trace: min eig(I - sum K†K) = {w_min:.3e}"
-            )
+        ks = _as_complex(self.kraus).copy()
+        if ks.ndim != 3 or 0 in ks.shape:
+            raise ValidationError(f"Kraus family must be one or more nonempty matrices of one shape, got {ks.shape}")
+        object.__setattr__(self, "kraus", tuple(ks))
+        object.__setattr__(self, "_stack", ks)
+        g = self.kraus_gram() - np.eye(ks.shape[2])
+        excess = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+        preserving = isinstance(self, KrausChannel)  # a channel is held to sum K†K = I from both sides
+        dev = float((np.abs(excess) if preserving else excess).max())
+        if not dev <= CHANNEL_TOL:
+            what = "is not trace preserving: ||sum K†K - I||" if preserving else "increases trace: max eig(sum K†K - I)"
+            raise ValidationError(f"Kraus family {what} = {dev:.3e}")
 
     def kraus_gram(self) -> np.ndarray:
-        return sum(k.conj().T @ k for k in self.kraus)
+        return np.tensordot(self._stack.conj(), self._stack, axes=([0, 1], [0, 1]))
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def env_dim(self) -> int:
-        return len(self.kraus)
+        return self._stack.shape[0]
 
     def kraus_stack(self) -> np.ndarray:
         """Kraus family as one (env_dim, dim_out, dim_in) array."""
@@ -116,14 +114,6 @@ class QuantumOperation:
 class KrausChannel(QuantumOperation):
     """Trace-preserving Kraus family: sum K†K = I within CHANNEL_TOL."""
 
-    def _check_normalization(self):
-        g = self.kraus_gram() - np.eye(self.dim_in)
-        dev = float(np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))).max())
-        if not dev <= CHANNEL_TOL:
-            raise ValidationError(
-                f"Kraus family is not trace preserving: ||sum K†K - I|| = {dev:.3e}"
-            )
-
 
 @dataclass(frozen=True)
 class StinespringDilation:
@@ -133,7 +123,7 @@ class StinespringDilation:
     layout: CompositeLayout
 
     def __post_init__(self):
-        v = np.asarray(self.isometry, dtype=complex)
+        v = _as_complex(self.isometry)
         object.__setattr__(self, "isometry", v)
         g = v.conj().T @ v
         dev = float(np.abs(g - np.eye(v.shape[1])).max())
@@ -199,9 +189,7 @@ def complementary(op: QuantumOperation) -> QuantumOperation:
     The b-th Kraus operator of the complement collects row b of every K_i,
     so its output dimension equals the Kraus count of ``op``.
     """
-    ks = op.kraus_stack()  # (E, B, A)
-    comp = ks.transpose(1, 0, 2)  # (B, E, A)
-    return type(op)(tuple(comp[b] for b in range(comp.shape[0])))
+    return type(op)(op.kraus_stack().transpose(1, 0, 2))  # (E, B, A) -> (B, E, A)
 
 
 def tensor_channel(op1: QuantumOperation, op2: QuantumOperation) -> QuantumOperation:
@@ -211,12 +199,19 @@ def tensor_channel(op1: QuantumOperation, op2: QuantumOperation) -> QuantumOpera
     return cls(kraus)
 
 
+def _eye(dim) -> np.ndarray:
+    """Identity on a builder's dimension argument; dimension 0 is left to the Kraus shape check."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 0:
+        raise ValidationError(f"dimension must be a nonnegative integer, got {dim!r}")
+    return np.eye(dim)
+
+
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
+    return KrausChannel((_eye(dim),))
 
 
 def unitary_channel(u) -> KrausChannel:
-    return KrausChannel((np.asarray(u, dtype=complex),))
+    return KrausChannel((u,))
 
 
 def _state_eig(state, name: str):
@@ -225,42 +220,35 @@ def _state_eig(state, name: str):
     return w[::-1], u[:, ::-1]
 
 
+def _prepare(w, u, bras) -> np.ndarray:
+    """Measure-and-prepare operators ``sqrt(w_m) |u_m><b_k|``, eigenpairs first, as one ``(E, B, A)`` stack.
+
+    ``u`` holds the kets as columns and ``bras`` the bras as rows; eigenpairs with ``w_m <= 1e-14`` are dropped."""
+    keep = w > 1e-14
+    kets = u[:, keep].T
+    ops = np.sqrt(w[keep])[:, None, None, None] * (kets[:, None, :, None] * bras[None, :, None, :])
+    return ops.reshape(len(kets) * len(bras), u.shape[0], bras.shape[1])
+
+
 def replacement_channel(tau, dim_in: int | None = None) -> KrausChannel:
     """Channel that discards the input and prepares the fixed state ``tau``."""
     w, u = _state_eig(tau, "replacement target")
-    d_in = len(w) if dim_in is None else int(dim_in)
-    kraus = []
-    for m in range(len(w)):
-        if w[m] <= 1e-14:
-            continue
-        for a in range(d_in):
-            k = np.zeros((len(w), d_in), dtype=complex)
-            k[:, a] = np.sqrt(w[m]) * u[:, m]
-            kraus.append(k)
-    return KrausChannel(tuple(kraus))
+    return KrausChannel(_prepare(w, u, _eye(len(w) if dim_in is None else int(dim_in))))
 
 
 def dephasing_channel(dim: int = 2) -> KrausChannel:
     """Complete dephasing in the computational basis."""
-    kraus = []
-    for k in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[k, k] = 1.0
-        kraus.append(e)
-    return KrausChannel(tuple(kraus))
+    return KrausChannel(np.einsum("kb,ka->kba", _eye(dim), _eye(dim)))
 
 
 def depolarizing_channel(p: float, dim: int = 2) -> KrausChannel:
     """rho -> (1 - p) rho + p I/dim."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarizing weight must lie in [0, 1], got {p}")
-    kraus = [np.sqrt(1.0 - p) * np.eye(dim, dtype=complex)]
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = np.sqrt(p / dim)
-            kraus.append(k)
-    return KrausChannel(tuple(kraus))
+    eye = _eye(dim)
+    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)  # row i * dim + j is |i><j|
+    # sqrt(p / dim) entrywise, so that dim = 0 reaches the Kraus shape check instead of a division by zero
+    return KrausChannel(np.concatenate([np.sqrt(1.0 - p) * eye[None], np.sqrt(units * p / dim)]))
 
 
 def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOperation:
@@ -286,14 +274,8 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
         if basis.shape[0] != d_out:
             raise ValidationError("ordering observable must live on the output space")
     lead, rest = basis[:, :n], basis[:, n:]
-    proj_kraus = [lead @ lead.conj().T]
-    for m in range(len(w)):
-        if w[m] <= 1e-14:
-            continue
-        for k in range(rest.shape[1]):
-            proj_kraus.append(np.sqrt(w[m]) * np.outer(u[:, m], rest[:, k].conj()))
-    kraus = tuple(m @ k for m in proj_kraus for k in channel.kraus)
-    return type(channel)(kraus)
+    post = np.concatenate([(lead @ lead.conj().T)[None], _prepare(w, u, rest.conj().T)])  # (P, B, B)
+    return type(channel)((post[:, None] @ channel.kraus_stack()).reshape(-1, d_out, channel.dim_in))
 
 
 def cq_channel(states, dim_in: int | None = None) -> KrausChannel:
@@ -302,18 +284,10 @@ def cq_channel(states, dim_in: int | None = None) -> KrausChannel:
     d_in = len(spectra) if dim_in is None else int(dim_in)
     if d_in != len(spectra):
         raise ValidationError(f"need one output state per input basis vector ({d_in})")
-    d_out = len(spectra[0][0])
-    if any(len(w) != d_out for w, _ in spectra):
+    if len({len(w) for w, _ in spectra}) > 1:
         raise ValidationError("all output states must share one dimension")
-    kraus = []
-    for k, (w, u) in enumerate(spectra):
-        for m in range(len(w)):
-            if w[m] <= 1e-14:
-                continue
-            op = np.zeros((d_out, d_in), dtype=complex)
-            op[:, k] = np.sqrt(w[m]) * u[:, m]
-            kraus.append(op)
-    return KrausChannel(tuple(kraus))
+    bras = np.eye(d_in)
+    return KrausChannel([k for j, (w, u) in enumerate(spectra) for k in _prepare(w, u, bras[j : j + 1])])
 
 
 class CqResult(NamedTuple):
@@ -380,7 +354,7 @@ def restrict(channel: QuantumOperation, basis) -> QuantumOperation:
     g = v.conj().T @ v
     if float(np.abs(g - np.eye(v.shape[1])).max()) > CHANNEL_TOL:
         raise ValidationError("basis columns are not orthonormal")
-    return type(channel)(tuple(k @ v for k in channel.kraus))
+    return type(channel)(channel.kraus_stack() @ v)
 
 
 def minimize_kraus(op: QuantumOperation, cutoff: float = 1e-12) -> QuantumOperation:
@@ -389,14 +363,10 @@ def minimize_kraus(op: QuantumOperation, cutoff: float = 1e-12) -> QuantumOperat
     vecs = np.stack([k.reshape(-1) for k in op.kraus], axis=1)  # (d_out*d_in, E)
     choi = vecs @ vecs.conj().T
     w, u = _eig(0.5 * (choi + choi.conj().T), "Choi matrix")  # exactly Hermitian: the product is only to rounding
-    kraus = tuple(
-        np.sqrt(w[m]) * u[:, m].reshape(d_out, d_in)
-        for m in reversed(range(len(w)))  # eigenvalues descending
-        if w[m] > cutoff
-    )
-    if not kraus:
+    keep = np.flatnonzero(w > cutoff)[::-1]  # eigenvalues descending
+    if not keep.size:
         raise ValidationError("map vanished below the Kraus cutoff")
-    return type(op)(kraus)
+    return type(op)((np.sqrt(w[keep]) * u[:, keep]).T.reshape(-1, d_out, d_in))
 
 
 def sample_channel(dim_in: int, dim_out: int, kraus_rank: int, seed=0) -> KrausChannel:
@@ -404,5 +374,4 @@ def sample_channel(dim_in: int, dim_out: int, kraus_rank: int, seed=0) -> KrausC
     if kraus_rank < 1:
         raise ValidationError("kraus_rank must be positive")
     v = sample_isometry(dim_in, dim_out * kraus_rank, seed)
-    blocks = v.reshape(dim_out, kraus_rank, dim_in)
-    return KrausChannel(tuple(blocks[:, e, :] for e in range(kraus_rank)))
+    return KrausChannel(v.reshape(dim_out, kraus_rank, dim_in).transpose(1, 0, 2))

@@ -161,6 +161,8 @@ class Ensemble:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size == 0:
             raise ValidationError("ensemble must have at least one member")
+        if not np.isfinite(w).all():
+            raise ValidationError("ensemble weights must be finite")
         if float(w.min()) < -1e-12:
             raise ValidationError(f"negative ensemble weight {float(w.min()):.3e}")
         if abs(float(w.sum()) - 1.0) > 1e-10:

@@ -244,7 +244,7 @@ def fock_attenuator(eta: float, cutoff: int) -> KrausChannel:
             ops[ell, n - ell, n] = amp
     col_norm = np.sqrt(np.einsum("lmn->n", ops**2))
     ops /= col_norm[None, None, :]
-    return KrausChannel(tuple(ops[ell] for ell in range(dim)))
+    return KrausChannel(ops)
 
 
 def thermal_state(mean_photons: float, cutoff: int) -> np.ndarray:

@@ -118,11 +118,20 @@ class TestOptimizerOptions:
             ("epsilon", math.nan),
             ("max_iterations", 0),
             ("seed", -1),
+            ("max_iterations", 2.5),
+            ("restarts", 1.5),
+            ("seed", 0.5),
+            ("max_iterations", "3"),
+            ("seed", True),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"optimizer option {field} must be"):
             OptimizerOptions(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        opts = OptimizerOptions(max_iterations=np.int64(3), restarts=np.int32(2), seed=np.uint8(1))
+        assert (opts.max_iterations, opts.restarts, opts.seed) == (3, 2, 1)
 
 
 class TestFeasibleLinearMax:

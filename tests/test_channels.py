@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,8 @@ from entrocap import (
 )
 
 from entrocap.channels import CHANNEL_TOL
+from entrocap.gaussian import fock_attenuator
+from entrocap.linalg import hermitian_eig, sample_isometry
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -84,6 +88,192 @@ class TestConstruction:
     def test_nan_entry_rejected(self, cls):
         with pytest.raises(ValidationError):
             cls((np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: cq_channel([]), "Kraus family must be"),
+            (lambda: identity_channel(0), "Kraus family must be"),
+            (lambda: depolarizing_channel(0.5, 0), "Kraus family must be"),
+            (lambda: dephasing_channel(0), "Kraus family must be"),
+            (lambda: replacement_channel(np.eye(2) / 2, dim_in=0), "Kraus family must be"),
+            (lambda: KrausChannel((("a", "b"), ("c", "d"))), "expected a numeric array"),
+            (lambda: KrausChannel((np.eye(2), np.eye(3))), "expected a numeric array"),
+            (lambda: KrausChannel(np.eye(2)), "Kraus family must be"),
+            (lambda: identity_channel(-1), "dimension must be a nonnegative integer"),
+            (lambda: depolarizing_channel(0.5, -1), "dimension must be a nonnegative integer"),
+            (lambda: dephasing_channel(2.5), "dimension must be a nonnegative integer"),
+        ],
+        ids=[
+            "cq-empty",
+            "identity-0",
+            "depolarizing-0",
+            "dephasing-0",
+            "replacement-0",
+            "non-numeric",
+            "ragged",
+            "single-matrix",
+            "identity-negative",
+            "depolarizing-negative",
+            "dephasing-fractional",
+        ],
+    )
+    def test_malformed_family_rejected(self, build, match):
+        # each once ended in a raw IndexError, ValueError or ZeroDivisionError
+        with pytest.raises(ValidationError, match=match):
+            build()
+
+    def test_trace_decreasing_family_is_an_operation_only(self):
+        family = (np.diag([1.0, 0.6]), np.diag([0.0, 0.3]))
+        op = QuantumOperation(family)
+        assert np.allclose(op.kraus_gram(), np.diag([1.0, 0.45]))
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            KrausChannel(family)
+
+    @pytest.mark.parametrize("cls, match", [(KrausChannel, "not trace preserving"), (QuantumOperation, "increases trace")])
+    def test_trace_increasing_family_rejected(self, cls, match):
+        with pytest.raises(ValidationError, match=match):
+            cls((np.diag([1.0, 0.8]), np.diag([0.0, 0.8])))
+
+    def test_stack_and_row_tuple_build_equal_channels(self):
+        stack = sample_channel(2, 3, 3, seed=7).kraus_stack()
+        rho = sample_state(2, seed=8)
+        from_stack, from_rows = KrausChannel(stack), KrausChannel(tuple(stack))
+        assert isinstance(from_stack.kraus, tuple) and len(from_stack.kraus) == 3
+        assert np.array_equal(from_stack.kraus_stack(), from_rows.kraus_stack())
+        assert all(np.array_equal(a, b) for a, b in zip(from_stack.kraus, from_rows.kraus))
+        assert np.array_equal(apply(from_stack, rho), apply(from_rows, rho))
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_caller_mutation_does_not_reach_the_channel(self, dtype):
+        stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=dtype)
+        rho = sample_state(2, seed=9)
+        chan = KrausChannel(stack)
+        before = apply(chan, rho)
+        stack[:] = 0.0
+        assert np.array_equal(apply(chan, rho), before)
+        assert chan.kraus_stack().flags.c_contiguous and chan.kraus_stack().flags.owndata
+
+
+def _reference_prepare_loop(w, u, d_in, columns):
+    """Measure-and-prepare operators written out as loops: ``sqrt(w_m) u_m`` in column ``a`` for each ``a``."""
+    kraus = []
+    for m in range(len(w)):
+        if w[m] <= 1e-14:
+            continue
+        for a in columns:
+            k = np.zeros((len(w), d_in), dtype=complex)
+            k[:, a] = np.sqrt(w[m]) * u[:, m]
+            kraus.append(k)
+    return kraus
+
+
+def reference_replacement(tau, d_in):
+    w, u = hermitian_eig(tau)
+    return np.array(_reference_prepare_loop(w, u, d_in, range(d_in)))
+
+
+def reference_cq(states):
+    kraus = []
+    for k, sigma in enumerate(states):
+        w, u = hermitian_eig(sigma)
+        kraus += _reference_prepare_loop(w, u, len(states), [k])
+    return np.array(kraus)
+
+
+def reference_truncate(channel, n, tau, ordering=None):
+    w, u = hermitian_eig(tau)
+    d_out = channel.dim_out
+    basis = np.eye(d_out, dtype=complex) if ordering is None else hermitian_eig(ordering)[1]
+    lead, rest = basis[:, :n], basis[:, n:]
+    post = [lead @ lead.conj().T]
+    for m in range(len(w)):
+        if w[m] <= 1e-14:
+            continue
+        for k in range(rest.shape[1]):
+            post.append(np.sqrt(w[m]) * np.outer(u[:, m], rest[:, k].conj()))
+    return np.array([p @ k for p in post for k in channel.kraus])
+
+
+def reference_minimize(op, cutoff=1e-12):
+    vecs = np.stack([k.reshape(-1) for k in op.kraus], axis=1)
+    choi = vecs @ vecs.conj().T
+    w, u = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+    return np.array(
+        [np.sqrt(w[m]) * u[:, m].reshape(op.dim_out, op.dim_in) for m in reversed(range(len(w))) if w[m] > cutoff]
+    )
+
+
+class TestBuilderStacks:
+    """Each builder's Kraus stack, entry for entry and in order, against a reference written out as loops."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("d_in", [1, 2, 4])
+    def test_replacement(self, rank, d_in):
+        tau = sample_state(3, rank=rank, seed=10 + rank)
+        stack = replacement_channel(tau, dim_in=d_in).kraus_stack()
+        assert stack.shape == (rank * d_in, 3, d_in)
+        assert np.array_equal(stack, reference_replacement(tau, d_in))
+
+    def test_cq_rank_deficient_states(self):
+        states = [sample_state(3, rank=r, seed=20 + r) for r in (1, 3, 2)]
+        stack = cq_channel(states).kraus_stack()
+        assert stack.shape == (6, 3, 3)
+        assert np.array_equal(stack, reference_cq(states))
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_truncate(self, n, rank, ordered):
+        chan = sample_channel(2, 3, 2, seed=30 + n)
+        tau = sample_state(3, rank=rank, seed=31)
+        ordering = sample_hermitian(3, seed=32) if ordered else None
+        trunc = truncate(chan, n, tau, ordering)
+        expected = reference_truncate(chan, n, tau, ordering)
+        assert trunc.kraus_stack().shape == ((1 + rank * (3 - n)) * 2, 3, 2)
+        assert np.array_equal(trunc.kraus_stack(), expected)
+        assert np.array_equal(minimize_kraus(trunc).kraus_stack(), reference_minimize(QuantumOperation(tuple(expected))))
+
+    def test_complementary(self):
+        chan = sample_channel(2, 3, 4, seed=40)
+        ks, comp = chan.kraus_stack(), complementary(chan).kraus_stack()
+        assert comp.shape == (3, 4, 2)
+        for e, b, a in np.ndindex(ks.shape):
+            assert comp[b, e, a] == ks[e, b, a]
+
+    def test_restrict(self):
+        chan = sample_channel(3, 2, 3, seed=41)
+        v = sample_isometry(2, 3, seed=42)
+        stack = restrict(chan, v).kraus_stack()
+        assert np.array_equal(stack, np.array([k @ v for k in chan.kraus]))
+
+    def test_sample_channel(self):
+        v = sample_isometry(2, 3 * 4, seed=43)
+        stack = sample_channel(2, 3, 4, seed=43).kraus_stack()
+        for e, b, a in np.ndindex(stack.shape):
+            assert stack[e, b, a] == v[b * 4 + e, a]
+
+    @pytest.mark.parametrize("cutoff", [2, 10, 20])
+    def test_fock_attenuator(self, cutoff):
+        eta, dim = 0.6, cutoff + 1
+        ops = np.zeros((dim, dim, dim))
+        for n in range(dim):
+            for ell in range(n + 1):  # K_ell |n> = amp |n - ell>
+                ops[ell, n - ell, n] = math.sqrt(math.comb(n, ell) * eta ** (n - ell) * (1.0 - eta) ** ell)
+        ops /= np.sqrt(np.einsum("lmn->n", ops**2))[None, None, :]
+        assert np.array_equal(fock_attenuator(eta, cutoff).kraus_stack(), ops.astype(complex))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_named_channels(self, dim):
+        p = 0.3
+        depol = [np.sqrt(1.0 - p) * np.eye(dim, dtype=complex)]
+        for i, j in np.ndindex(dim, dim):
+            k = np.zeros((dim, dim), dtype=complex)
+            k[i, j] = np.sqrt(p / dim)
+            depol.append(k)
+        assert np.array_equal(depolarizing_channel(p, dim).kraus_stack(), np.array(depol))
+        assert np.array_equal(dephasing_channel(dim).kraus_stack(), np.array([np.diag(e) for e in np.eye(dim)]))
+        assert np.array_equal(identity_channel(dim).kraus_stack(), np.eye(dim)[None])
 
 
 class TestApply:

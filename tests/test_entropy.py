@@ -292,6 +292,12 @@ class TestEnsembles:
         with pytest.raises(ValidationError):
             Ensemble(np.array([0.6, 0.6]), (np.eye(2) / 2, np.eye(2) / 2))
 
+    @pytest.mark.parametrize("weights", [[math.nan], [math.inf], [0.5, math.nan]])
+    def test_non_finite_weight_rejected(self, weights):
+        # NaN passed both the sign and the sum test and was stored
+        with pytest.raises(ValidationError, match="ensemble weights must be finite"):
+            Ensemble(weights, (np.eye(2) / 2,) * len(weights))
+
     def test_members_validated_as_one_stack(self, eig_calls):
         states = tuple(sample_state(3, seed=s) for s in range(7))
         mu = Ensemble(np.full(7, 1.0 / 7), states)

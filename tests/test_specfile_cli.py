@@ -187,6 +187,14 @@ class TestCliCommands:
         assert main(["validate", path]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, dim", [("identity", 0), ("dephasing", 0), ("depolarizing", 0), ("identity", -1), ("depolarizing", -2)]
+    )
+    def test_exit_code_degenerate_named_dimension(self, tmp_path, capsys, name, dim):
+        doc = {"schema_version": 1, "kind": "named", "payload": {"name": name, "params": {"dim": dim}}}
+        assert main(["validate", write_spec(tmp_path, doc)]) == 3
+        assert "invariant violation" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_exit_code_non_finite_bound(self, tmp_path, capsys, bound):
         with open(f"{SPECS}/identity_qubit.json", encoding="utf-8") as fh:
