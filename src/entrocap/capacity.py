@@ -8,7 +8,8 @@ lowers it and keeps the iterate feasible: the best iterate is a lower bound.
 At each iterate an exact linear maximization oracle bounds the optimum from
 above, which certifies the bracket (see :func:`cea_capacity`).  The chi
 optimizers are multi-start local searches; their results are flagged
-heuristic lower bounds.
+heuristic lower bounds.  :func:`chi_capacity` stops early where a one-shot
+upper bound certifies its value within ``gap_tolerance``.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class EnergyConstraint:
     def __post_init__(self):
         f = assert_hermitian(self.operator, name="constraint operator")
         f = 0.5 * (f + f.conj().T)  # stored exactly Hermitian: the solvers use unchecked eigensolvers
-        w = np.linalg.eigvalsh(f)
+        w, u = np.linalg.eigh(f)
         if float(w.min()) < -1e-10:
             raise ValidationError(f"constraint operator not PSD: min eig {float(w.min()):.3e}")
         e = float(self.bound)
@@ -100,6 +101,7 @@ class EnergyConstraint:
             )
         object.__setattr__(self, "operator", f)
         object.__setattr__(self, "bound", e)
+        object.__setattr__(self, "_eigenpairs", (np.maximum(w, 0.0), u))  # levels ascending, clipped at 0
 
     @property
     def dim(self) -> int:
@@ -131,6 +133,9 @@ class OptimizerOptions:
     """Optimizer settings.
 
     ``restarts`` and ``seed`` apply only to the heuristic chi optimizers.
+    ``gap_tolerance`` ends a certified run once its bracket is that narrow, and
+    a :func:`chi_capacity` run once its best value is that close to chi's upper
+    bound.
     """
 
     max_iterations: int = 300
@@ -143,10 +148,15 @@ class OptimizerOptions:
         def integer(v):
             return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-        for name, ok, rule in (  # in order: the range rows only see integers
+        def real(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+        for name, ok, rule in (  # in order: the range rows only see numbers of the right kind
             ("max_iterations", integer, "an integer"),
             ("restarts", integer, "an integer"),
             ("seed", integer, "an integer"),
+            ("gap_tolerance", real, "a real number"),
+            ("epsilon", real, "a real number"),
             ("max_iterations", lambda v: v >= 1, ">= 1"),
             ("restarts", lambda v: v >= 1, ">= 1"),
             ("seed", lambda v: v >= 0, ">= 0"),
@@ -475,13 +485,51 @@ def _pure_images(kraus, vectors):
     return amps, amps @ amps.conj().swapaxes(-1, -2)
 
 
-def _ensemble_spectra(kraus, weights, vectors):
-    """For pure-state ensembles ``(..., m)``, ``(..., m, d)`` through a channel: the amplitudes and images
-    of :func:`_pure_images`, the eigenpairs of the images and of their average, and the chi value."""
+def _ensemble_spectra(kraus, weights, vectors, extra=None):
+    """For pure-state ensembles ``(r, m)``, ``(r, m, d)`` through a channel: the amplitudes and images
+    of :func:`_pure_images`, the eigenpairs of the images and of their average, and the chi value.
+    The output operators of an ``extra`` stack are diagonalized in the averages' call; their eigenpairs
+    come third."""
     amps, images = _pure_images(kraus, vectors)
     p, u = _eig(images, "ensemble image")
-    q, v = _eig(np.einsum("...i,...ibc->...bc", weights, images), "average image")
-    return (amps, images, p, u, q, v), _spectrum_entropy(q) - _rowdot(weights, _spectrum_entropy(p))
+    avg = np.einsum("...i,...ibc->...bc", weights, images)
+    q, v = _eig(avg if extra is None else np.concatenate([avg, extra]), "average image")
+    r = len(avg)
+    chi = _spectrum_entropy(q[:r]) - _rowdot(weights, _spectrum_entropy(p))
+    if extra is None:
+        return (amps, images, p, u, q, v), chi
+    return (amps, images, p, u, q[:r], v[:r]), chi, (q[r:], v[r:])
+
+
+def _gibbs_output(kraus, constraint: EnergyConstraint):
+    """The output ``Phi(rho_G)`` of the Gibbs state ``rho_G ~ exp(-beta F)`` at the least feasible rate, and beta.
+    ``rho_G`` is the re-tilt of the uniform weights on F's eigenvectors, so it needs no eigensolve.  Where a
+    weight underflows to zero (E at F's least level), the state is the beta -> inf limit and beta is inf."""
+    levels, vectors = constraint._eigenpairs
+    (p,), (beta,) = _retilt(np.ones((1, len(levels))), levels[None], constraint.bound, np.zeros(1))
+    return np.einsum("i,ibc->bc", p, _pure_images(kraus, vectors.T)[1]), math.inf if (p == 0.0).any() else float(beta)
+
+
+def _chi_upper_bound(channel: QuantumOperation, constraint: EnergyConstraint, beta: float, w, u):
+    """``(bound, allowance)``: the upper bound ``lam_max(G - lam F) + lam E`` on the constrained chi value, with
+    ``G = -Phi*(log2 omega)``, ``omega`` the output with eigenpairs ``(w, u)`` and ``lam = beta / ln 2``, and the
+    rounding it may carry.  For any state omega and lam >= 0, ``S(Phi(rho)) <= Tr rho G`` (Klein's inequality;
+    the log floor only adds 1e-30 per level to omega's trace) and every member's output entropy is >= 0, so
+    ``chi <= Tr rho G <= lam_max(G - lam F) + lam Tr rho F``.  At the Gibbs output of :func:`_gibbs_output` the
+    bound is the maximal output entropy whenever the Gibbs state attains it.  The allowance, 1e-12 relative to
+    the magnitudes summed, covers the eigensolve and an average energy above E by rounding.  The bound is inf
+    (the stop it drives fails open) when lam or the bound is not finite."""
+    lam = beta / LN2
+    if not math.isfinite(lam):
+        return math.inf, math.inf
+    g = -dual_apply(channel, _log2_from_eig(w, u))
+    h = g - lam * constraint.operator
+    if not np.isfinite(h).all():
+        return math.inf, math.inf
+    bound = float(np.linalg.eigvalsh(h)[-1]) + lam * constraint.bound
+    top_level = float(constraint._eigenpairs[0][-1])
+    allowance = 1e-12 * (1.0 + abs(bound) + float(np.abs(g).max()) + lam * (top_level + constraint.bound))
+    return (bound, allowance) if math.isfinite(bound + allowance) else (math.inf, math.inf)
 
 
 def chi_capacity(
@@ -505,8 +553,18 @@ def chi_capacity(
     restart follows its sequential path.
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
+    *Certified stop.*  Once per call, :func:`_chi_upper_bound` bounds chi from
+    above at the output of the Gibbs state of F at E (one eigensolve, plus the
+    Gibbs output's, which shares the first ensemble's call).  Every running
+    restart stops once the best value is within ``opts.gap_tolerance`` of that
+    bound plus its rounding allowance.  The bound equals chi where the Gibbs
+    state maximizes the output entropy (the identity, cq channels with
+    orthogonal pure outputs, isometries); elsewhere it is loose and never stops
+    a run, and at ``gap_tolerance=0`` it stops none.  A certified value may lie
+    up to ``gap_tolerance`` below what the run would reach without the stop.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
-    winning restart stopped on the stall test; ties go to the lower restart.
+    value is certified within ``gap_tolerance`` or the winning restart stopped
+    on the stall test; ties go to the lower restart.
     """
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
     if channel.dim_in != constraint.dim:
@@ -518,7 +576,7 @@ def chi_capacity(
     if m < 1:
         raise ValidationError("ensemble size must be positive")
     t0 = time.perf_counter()
-    fw, fu = _eig(f_op, "constraint operator")
+    fw, fu = constraint._eigenpairs
 
     def energies_of(vectors):
         return np.einsum("...ia,ab,...ib->...i", vectors.conj(), f_op, vectors).real
@@ -536,7 +594,9 @@ def chi_capacity(
     # per running restart: members, energies, weights, best value and state, step, restart index
     vecs, energies = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
     weights, _ = _retilt(np.full(energies.shape, 1.0 / m), energies, bound, np.zeros(opts.restarts))
-    state, best = _ensemble_spectra(kraus, weights, vecs)
+    gibbs_output, beta = _gibbs_output(kraus, constraint)
+    state, best, ((w,), (u,)) = _ensemble_spectra(kraus, weights, vecs, gibbs_output[None])
+    stop_at = sum(_chi_upper_bound(channel, constraint, beta, w, u)) - opts.gap_tolerance
     best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
     history, outcomes, rate_a, rate_b = [best], [], np.zeros(opts.restarts), np.zeros(opts.restarts)
     for taken in range(1, opts.max_iterations + 1):
@@ -573,8 +633,11 @@ def chi_capacity(
         best_v = np.where(improved[:, None, None], vecs, best_v)
         history = [*history[-_CHI_STALL_STEPS:], best]
         stalled = (best - history[0] <= 1e-12) & (taken >= _CHI_STALL_STEPS)
-        done = stalled | (taken == opts.max_iterations)
-        outcomes += [(best[i], (best_w[i], best_v[i]), taken, bool(stalled[i]), ids[i]) for i in np.flatnonzero(done)]
+        certified = bool(best.max() >= stop_at)
+        done = stalled | certified | (taken == opts.max_iterations)
+        outcomes += [
+            (best[i], (best_w[i], best_v[i]), taken, certified or bool(stalled[i]), ids[i]) for i in np.flatnonzero(done)
+        ]
         if done.any():  # finished restarts leave the stack
             keep = ~done
             vecs, energies, weights, best, best_w, best_v, step, ids, rate_a, rate_b = (

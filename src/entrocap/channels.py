@@ -132,9 +132,9 @@ class StinespringDilation:
 
 
 def _operand(op: QuantumOperation, x, side: str = "input") -> np.ndarray:
-    """``x`` as a complex array whose leading dimension is the map's ``side`` ("input" or "output") dimension."""
-    x = np.asarray(x, dtype=complex)
-    want = op.dim_in if side == "input" else op.dim_out
+    """``x`` as a complex square matrix of the map's ``side`` ("input", "output" or "environment") dimension."""
+    x = _as_matrix(x)
+    want = op.dim_in if side == "input" else op.dim_out if side == "output" else op.env_dim
     if x.shape[0] != want:
         raise ValidationError(f"operator dim {x.shape[0]} does not match channel {side} dim {want}")
     return x
@@ -168,11 +168,8 @@ def _output_and_environment(op: QuantumOperation, rho) -> tuple[np.ndarray, np.n
 
 def dual_environment(op: QuantumOperation, m) -> np.ndarray:
     """Dual of the environment map: observable on env -> observable on input."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] != op.env_dim:
-        raise ValidationError("observable dim does not match environment dim")
     ks = op.kraus_stack()
-    tmp = np.tensordot(m, ks, axes=([1], [0]))  # (E, B, A)
+    tmp = np.tensordot(_operand(op, m, "environment"), ks, axes=([1], [0]))  # (E, B, A)
     return np.tensordot(ks.conj(), tmp, axes=([0, 1], [0, 1]))
 
 
@@ -348,7 +345,7 @@ def is_cq_discrete(
 
 def restrict(channel: QuantumOperation, basis) -> QuantumOperation:
     """Subchannel on the subspace spanned by the (isometric) ``basis`` columns."""
-    v = np.asarray(basis, dtype=complex)
+    v = _as_complex(basis)
     if v.ndim != 2 or v.shape[0] != channel.dim_in or v.shape[1] > v.shape[0]:
         raise ValidationError("basis must be dim_in x k with k <= dim_in")
     g = v.conj().T @ v

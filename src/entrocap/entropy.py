@@ -158,7 +158,10 @@ class Ensemble:
     states: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        try:
+            w = np.asarray(self.weights, dtype=float).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"ensemble weights must be real numbers: {exc}") from None
         if w.size == 0:
             raise ValidationError("ensemble must have at least one member")
         if not np.isfinite(w).all():

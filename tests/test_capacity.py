@@ -7,6 +7,7 @@ import pytest
 
 from entrocap import (
     EnergyConstraint,
+    KrausChannel,
     OptimizerOptions,
     ResourceLimitError,
     ValidationError,
@@ -32,6 +33,7 @@ from entrocap import (
     replacement_channel,
     sample_channel,
     sample_hermitian,
+    sample_isometry,
     sample_state,
     tensor,
     thermal_state,
@@ -123,6 +125,10 @@ class TestOptimizerOptions:
             ("seed", 0.5),
             ("max_iterations", "3"),
             ("seed", True),
+            ("gap_tolerance", "abc"),
+            ("gap_tolerance", True),
+            ("epsilon", None),
+            ("epsilon", 1j),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
@@ -132,6 +138,14 @@ class TestOptimizerOptions:
     def test_numpy_integers_accepted(self):
         opts = OptimizerOptions(max_iterations=np.int64(3), restarts=np.int32(2), seed=np.uint8(1))
         assert (opts.max_iterations, opts.restarts, opts.seed) == (3, 2, 1)
+
+    def test_real_options_name_the_option(self):
+        # a string or None reached the range comparison and raised a raw TypeError
+        for field, value in (("gap_tolerance", "abc"), ("epsilon", None)):
+            with pytest.raises(ValidationError, match=f"optimizer option {field} must be a real number, got {value!r}"):
+                OptimizerOptions(**{field: value})
+        opts = OptimizerOptions(gap_tolerance=np.float32(1e-3), epsilon=0)
+        assert (opts.gap_tolerance, opts.epsilon) == (np.float32(1e-3), 0)
 
 
 class TestFeasibleLinearMax:
@@ -634,7 +648,8 @@ class TestChiCapacity:
 
     @pytest.mark.parametrize("poisoned_call", [0, 1, 3, 4, 40])
     def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch, poisoned_call):
-        # call 0 diagonalizes F, calls 1-2 the start, then each step its average and its candidates
+        # calls 0-1 diagonalize the start (call 1 with the Gibbs output), then each step its average and its
+        # candidates; at gap_tolerance 0 the bound never stops the run before call 40
         calls, bare = [], capacity._eig
 
         def poisoned(stack, *args, **kwargs):
@@ -646,7 +661,8 @@ class TestChiCapacity:
 
         monkeypatch.setattr(capacity, "_eig", poisoned)
         with pytest.raises(ValidationError, match="non-finite"):
-            chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=3, max_iterations=50))
+            opts = OptimizerOptions(restarts=3, max_iterations=50, gap_tolerance=0.0)
+            chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=opts)
 
     @pytest.mark.parametrize(
         "name, seed, value, iterations, converged",
@@ -660,9 +676,10 @@ class TestChiCapacity:
         ],
     )
     def test_stacked_restarts_match_sequential_runs(self, name, seed, value, iterations, converged):
-        # reference numbers from the restart-by-restart optimizer this stack replaced
+        # reference numbers from the restart-by-restart optimizer this stack replaced, which had no certified stop
         spec = load_spec(str(SPECS / f"{name}.json"))
-        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=seed))
+        opts = OptimizerOptions(restarts=3, max_iterations=100, seed=seed, gap_tolerance=0.0)
+        res = chi_capacity(spec.channel, spec.constraint, opts=opts)
         assert abs(res.value - value) <= 1e-12
         assert (res.iterations, res.converged) == (iterations, converged)
 
@@ -680,7 +697,8 @@ class TestChiCapacity:
         counts = {}
         for restarts in (1, 3):
             calls.clear()
-            res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=OptimizerOptions(restarts=restarts, max_iterations=15))
+            opts = OptimizerOptions(restarts=restarts, max_iterations=15, gap_tolerance=0.0)
+            res = chi_capacity(CQ_QUTRIT, CQ_CONSTRAINT, opts=opts)
             assert res.iterations == 15 * restarts
             counts[restarts] = len(calls)
         assert counts[3] <= 1.2 * counts[1]
@@ -844,11 +862,36 @@ class TestChiCapacity:
         [("identity_qubit", 0.8112780065977824, 300, False), ("cq_qutrit", 1.3002068332825503, 152, True)],
     )
     def test_spec_results_are_pinned(self, name, value, iterations, converged):
-        # recorded before the re-tilts were stacked; each restart's path must not move
+        # recorded before the re-tilts were stacked and before the certified stop; each restart's path must not move
         spec = load_spec(str(SPECS / f"{name}.json"))
-        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
+        opts = OptimizerOptions(restarts=3, max_iterations=100, seed=0, gap_tolerance=0.0)
+        res = chi_capacity(spec.channel, spec.constraint, opts=opts)
         assert abs(res.value - value) <= 1e-12
         assert (res.iterations, res.converged) == (iterations, converged)
+
+    @pytest.mark.parametrize(
+        "name, value, iterations",
+        [("identity_qubit", 0.8112682105538059, 120), ("cq_qutrit", 1.3002043420374891, 36)],
+    )
+    def test_default_tolerance_results_are_pinned(self, name, value, iterations):
+        # the upper bound equals the closed form on both channels, so the run stops certified within gap_tolerance
+        reference = {"identity_qubit": shannon([0.25, 0.75]), "cq_qutrit": water_filling([0.0, 1.0, 2.0], 0.5)}[name]
+        spec = load_spec(str(SPECS / f"{name}.json"))
+        opts = OptimizerOptions(restarts=3, max_iterations=100, seed=0)
+        res = chi_capacity(spec.channel, spec.constraint, opts=opts)
+        assert abs(res.value - value) <= 1e-12
+        assert (res.iterations, res.converged) == (iterations, True)
+        assert reference - opts.gap_tolerance <= res.value <= reference + 1e-9
+
+    @pytest.mark.parametrize("name, steps", [("identity_qubit", 45), ("cq_qutrit", 15)])
+    def test_spec_runs_stop_certified_within_budget(self, monkeypatch, name, steps):
+        # each stack step scores its members once; at gap_tolerance 0 these runs take 100 and 60 steps
+        taken, member_terms = [], capacity._member_terms
+        monkeypatch.setattr(capacity, "_member_terms", lambda *args: taken.append(1) or member_terms(*args))
+        spec = load_spec(str(SPECS / f"{name}.json"))
+        res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=0))
+        assert res.converged
+        assert len(taken) <= steps
 
     @pytest.mark.parametrize(
         "name, seed",
@@ -872,6 +915,66 @@ class TestChiCapacity:
         spec = load_spec(str(SPECS / f"{name}.json"))
         res = chi_capacity(spec.channel, spec.constraint, opts=OptimizerOptions(restarts=3, max_iterations=100, seed=seed))
         assert reference - 5e-3 <= res.value <= reference + 1e-9
+
+
+def chi_upper_bound(channel, constraint):
+    """``(bound, allowance)`` of the chi optimizer's stop, at the Gibbs output diagonalized on its own."""
+    omega, beta = capacity._gibbs_output(channel.kraus_stack(), constraint)
+    return capacity._chi_upper_bound(channel, constraint, beta, *capacity._eig(omega))
+
+
+def random_constraint(rng, d, seed):
+    levels = rng.uniform(0.0, 2.0, d)
+    u = sample_isometry(d, d, seed=seed)
+    return EnergyConstraint((u * levels) @ u.conj().T, float(rng.uniform(levels.min(), levels.max())))
+
+
+class TestChiUpperBound:
+    def test_bound_holds_on_random_channels(self):
+        rng = np.random.default_rng(41)
+        cases = 0
+        for d_in in (2, 3):
+            for d_out in (2, 3):
+                for rank in (1, 2, 3):
+                    if d_out * rank < d_in:
+                        continue  # no channel of that Kraus rank
+                    seed = int(rng.integers(2**31))
+                    channel = sample_channel(d_in, d_out, rank, seed=seed)
+                    constraint = random_constraint(rng, d_in, seed + 1)
+                    bound, allowance = chi_upper_bound(channel, constraint)
+                    assert math.isfinite(bound) and 0.0 < allowance <= 1e-8, allowance  # far inside gap_tolerance
+                    for run_seed in range(3):
+                        opts = OptimizerOptions(restarts=1, max_iterations=40, seed=run_seed, gap_tolerance=0.0)
+                        assert chi_capacity(channel, constraint, opts=opts).value <= bound + allowance
+                        cases += 1
+        assert cases == 33
+
+    def test_bound_is_the_closed_form_where_the_gibbs_state_is_optimal(self):
+        identity = load_spec(str(SPECS / "identity_qubit.json"))
+        assert abs(chi_upper_bound(identity.channel, identity.constraint)[0] - shannon([0.25, 0.75])) <= 1e-12
+        assert abs(chi_upper_bound(CQ_QUTRIT, CQ_CONSTRAINT)[0] - water_filling([0.0, 1.0, 2.0], 0.5)) <= 1e-12
+        rng = np.random.default_rng(42)
+        for seed in range(5):  # an isometric channel's chi is the Gibbs entropy of F at E
+            constraint = random_constraint(rng, 2, seed + 100)
+            isometry = KrausChannel((sample_isometry(2, 3, seed=seed),))
+            gibbs = water_filling(np.linalg.eigvalsh(constraint.operator), constraint.bound)
+            assert abs(chi_upper_bound(isometry, constraint)[0] - gibbs) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [[0.0, 1.0], [0.3, 0.7, 2.5]])
+    def test_bound_fails_open_at_the_least_level(self, levels):
+        # at E = min F the Gibbs state is a beta -> inf limit: no bound, so the run is the one at gap_tolerance 0
+        rng = np.random.default_rng(43)
+        u = sample_isometry(len(levels), len(levels), seed=7)
+        constraint = EnergyConstraint((u * levels) @ u.conj().T, max(levels))
+        constraint = EnergyConstraint(constraint.operator, float(constraint._eigenpairs[0][0]))
+        channel = sample_channel(len(levels), 2, 2, seed=int(rng.integers(2**31)))
+        assert chi_upper_bound(channel, constraint) == (math.inf, math.inf)
+        runs = [
+            chi_capacity(channel, constraint, opts=OptimizerOptions(restarts=2, max_iterations=30, gap_tolerance=tol))
+            for tol in (1e-5, 0.0)
+        ]
+        certified, plain = ((r.value, r.iterations, r.converged) for r in runs)
+        assert certified == plain
 
 
 class TestInequalities:

@@ -34,7 +34,7 @@ from entrocap import (
     unitary_channel,
 )
 
-from entrocap.channels import CHANNEL_TOL
+from entrocap.channels import CHANNEL_TOL, _operand, dual_environment
 from entrocap.gaussian import fock_attenuator
 from entrocap.linalg import hermitian_eig, sample_isometry
 
@@ -309,6 +309,27 @@ class TestApply:
         with pytest.raises(ValidationError):
             apply(identity_channel(2), np.eye(3) / 3)
 
+    @pytest.mark.parametrize("action", [apply, dual_apply, environment_output, dual_environment])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([["a", "b"], ["c", "d"]], "expected a numeric array"),
+            ([1, 0], "expected a square matrix"),
+            (2.0, "expected a square matrix"),
+        ],
+    )
+    def test_malformed_operand_rejected(self, action, bad, message):
+        # raised a raw ValueError (non-numeric) or IndexError (1-D, scalar) before
+        chan = sample_channel(2, 2, 2, seed=3)
+        with pytest.raises(ValidationError, match=message):
+            action(chan, bad)
+
+    def test_complex_operand_is_not_copied(self):
+        # the mutual-information kernels pass their matrices through on the hot path
+        chan, rho = sample_channel(2, 3, 2, seed=4), sample_state(2, seed=5)
+        assert _operand(chan, rho) is rho
+        assert _operand(chan, rho.real).dtype == complex
+
 
 class TestDual:
     def test_unital(self):
@@ -562,6 +583,11 @@ class TestRestrict:
     def test_non_isometric_basis_rejected(self):
         with pytest.raises(ValidationError):
             restrict(identity_channel(3), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [[["a"], ["b"]], [1.0, 0.0]])
+    def test_malformed_basis_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            restrict(identity_channel(2), bad)
 
 
 class TestMinimizeKraus:

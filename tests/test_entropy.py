@@ -298,6 +298,12 @@ class TestEnsembles:
         with pytest.raises(ValidationError, match="ensemble weights must be finite"):
             Ensemble(weights, (np.eye(2) / 2,) * len(weights))
 
+    @pytest.mark.parametrize("weights", [["a"], [1j], [[0.5], [0.5, 0.0]]])
+    def test_non_numeric_weight_rejected(self, weights):
+        # raised a raw ValueError or TypeError from the float conversion
+        with pytest.raises(ValidationError, match="ensemble weights must be real numbers"):
+            Ensemble(weights, (np.eye(2) / 2,) * len(weights))
+
     def test_members_validated_as_one_stack(self, eig_calls):
         states = tuple(sample_state(3, seed=s) for s in range(7))
         mu = Ensemble(np.full(7, 1.0 / 7), states)
