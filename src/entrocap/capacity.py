@@ -8,8 +8,9 @@ lowers it and keeps the iterate feasible: the best iterate is a lower bound.
 At each iterate an exact linear maximization oracle bounds the optimum from
 above, which certifies the bracket (see :func:`cea_capacity`).  The chi
 optimizers are multi-start local searches; their results are flagged
-heuristic lower bounds.  :func:`chi_capacity` stops early where a one-shot
-upper bound certifies its value within ``gap_tolerance``.
+heuristic lower bounds.  :func:`chi_capacity` stops early, or returns F's Gibbs
+eigen-ensemble at once, where a one-shot upper bound certifies its value within
+``gap_tolerance``.
 """
 
 from __future__ import annotations
@@ -485,29 +486,27 @@ def _pure_images(kraus, vectors):
     return amps, amps @ amps.conj().swapaxes(-1, -2)
 
 
-def _ensemble_spectra(kraus, weights, vectors, extra=None):
+def _ensemble_spectra(kraus, weights, vectors):
     """For pure-state ensembles ``(r, m)``, ``(r, m, d)`` through a channel: the amplitudes and images
-    of :func:`_pure_images`, the eigenpairs of the images and of their average, and the chi value.
-    The output operators of an ``extra`` stack are diagonalized in the averages' call; their eigenpairs
-    come third."""
+    of :func:`_pure_images`, the eigenpairs of the images and of their average (one eigensolver call),
+    and the chi value."""
     amps, images = _pure_images(kraus, vectors)
-    p, u = _eig(images, "ensemble image")
     avg = np.einsum("...i,...ibc->...bc", weights, images)
-    q, v = _eig(avg if extra is None else np.concatenate([avg, extra]), "average image")
-    r = len(avg)
-    chi = _spectrum_entropy(q[:r]) - _rowdot(weights, _spectrum_entropy(p))
-    if extra is None:
-        return (amps, images, p, u, q, v), chi
-    return (amps, images, p, u, q[:r], v[:r]), chi, (q[r:], v[r:])
+    r, m, k = images.shape[:3]
+    w, x = _eig(np.concatenate([images.reshape(r * m, k, k), avg]), "ensemble image")
+    p, u, q, v = w[:-r].reshape(r, m, k), x[:-r].reshape(r, m, k, k), w[-r:], x[-r:]
+    return (amps, images, p, u, q, v), _spectrum_entropy(q) - _rowdot(weights, _spectrum_entropy(p))
 
 
 def _gibbs_output(kraus, constraint: EnergyConstraint):
-    """The output ``Phi(rho_G)`` of the Gibbs state ``rho_G ~ exp(-beta F)`` at the least feasible rate, and beta.
-    ``rho_G`` is the re-tilt of the uniform weights on F's eigenvectors, so it needs no eigensolve.  Where a
-    weight underflows to zero (E at F's least level), the state is the beta -> inf limit and beta is inf."""
+    """The output ``Phi(rho_G)`` of the Gibbs state ``rho_G ~ exp(-beta F)`` at the least feasible rate, beta, and
+    ``rho_G``'s eigen-ensemble: the Gibbs weights ``p`` on F's eigenvectors and those vectors' images.  ``rho_G``
+    is the re-tilt of the uniform weights on F's eigenvectors, so it needs no eigensolve.  Where a weight
+    underflows to zero (E at F's least level), the state is the beta -> inf limit and beta is inf."""
     levels, vectors = constraint._eigenpairs
     (p,), (beta,) = _retilt(np.ones((1, len(levels))), levels[None], constraint.bound, np.zeros(1))
-    return np.einsum("i,ibc->bc", p, _pure_images(kraus, vectors.T)[1]), math.inf if (p == 0.0).any() else float(beta)
+    images = _pure_images(kraus, vectors.T)[1]
+    return np.einsum("i,ibc->bc", p, images), math.inf if (p == 0.0).any() else float(beta), p, images
 
 
 def _chi_upper_bound(channel: QuantumOperation, constraint: EnergyConstraint, beta: float, w, u):
@@ -544,8 +543,8 @@ def chi_capacity(
     keep the average state feasible) with projected gradient steps on the
     pure members; multi-start, merged by best value.  No optimality claim.
     The members of every running restart are the rows of one ``(restarts, m, d)``
-    stack, mapped by one einsum.  A step makes 3 batched eigensolver calls:
-    the re-tilted average, then the candidates' images and their average,
+    stack, mapped by one einsum.  A step makes 2 batched eigensolver calls:
+    the re-tilted average, then the candidates' images with their average,
     whose eigenpairs the next step reuses (a rejected restart keeps its own).
     Each re-tilt is one call over the stack (:func:`_retilt`); each restart's
     search starts at the rate its restart found last, and accept/reject masks
@@ -554,14 +553,19 @@ def chi_capacity(
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
     *Certified stop.*  Once per call, :func:`_chi_upper_bound` bounds chi from
-    above at the output of the Gibbs state of F at E (one eigensolve, plus the
-    Gibbs output's, which shares the first ensemble's call).  Every running
+    above at the output of the Gibbs state of F at E (one eigensolve, plus one
+    call for the Gibbs output and its members' images).  Every running
     restart stops once the best value is within ``opts.gap_tolerance`` of that
     bound plus its rounding allowance.  The bound equals chi where the Gibbs
     state maximizes the output entropy (the identity, cq channels with
     orthogonal pure outputs, isometries); elsewhere it is loose and never stops
     a run, and at ``gap_tolerance=0`` it stops none.  A certified value may lie
     up to ``gap_tolerance`` below what the run would reach without the stop.
+    *Certified start.*  Before any restart is drawn, chi is evaluated at the
+    Gibbs state's eigen-ensemble (F's eigenvectors at their Gibbs weights),
+    from the spectra of that call.  On the channels above it attains chi; if
+    it reaches the stop with at most ``members`` members of positive weight,
+    it is the result, with ``iterations=0``, and the restart stack never runs.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
     value is certified within ``gap_tolerance`` or the winning restart stopped
     on the stall test; ties go to the lower restart.
@@ -591,15 +595,21 @@ def chi_capacity(
             vecs[-1], energies[-1] = fu[:, 0], float(fw[0])
         return vecs, energies
 
-    # per running restart: members, energies, weights, best value and state, step, restart index
-    vecs, energies = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
-    weights, _ = _retilt(np.full(energies.shape, 1.0 / m), energies, bound, np.zeros(opts.restarts))
-    gibbs_output, beta = _gibbs_output(kraus, constraint)
-    state, best, ((w,), (u,)) = _ensemble_spectra(kraus, weights, vecs, gibbs_output[None])
-    stop_at = sum(_chi_upper_bound(channel, constraint, beta, w, u)) - opts.gap_tolerance
-    best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
-    history, outcomes, rate_a, rate_b = [best], [], np.zeros(opts.restarts), np.zeros(opts.restarts)
-    for taken in range(1, opts.max_iterations + 1):
+    # chi at the Gibbs eigen-ensemble, and chi's upper bound from the eigenpairs of that ensemble's average
+    gibbs_output, beta, gibbs_p, gibbs_images = _gibbs_output(kraus, constraint)
+    q, v = _eig(np.concatenate([gibbs_output[None], gibbs_images]), "Gibbs output")
+    stop_at = sum(_chi_upper_bound(channel, constraint, beta, q[0], v[0])) - opts.gap_tolerance
+    gibbs_chi = float(_spectrum_entropy(q[0]) - gibbs_p @ _spectrum_entropy(q[1:]))
+    certified = gibbs_chi >= stop_at and int((gibbs_p > 0.0).sum()) <= m
+    outcomes = [(gibbs_chi, (gibbs_p, fu.T), 0, True, 0)] if certified else []
+    if not certified:  # the restart stack; it draws its random starts only here
+        # per running restart: members, energies, weights, best value and state, step, restart index
+        vecs, energies = (np.array(a) for a in zip(*map(start, range(opts.restarts))))
+        weights, _ = _retilt(np.full(energies.shape, 1.0 / m), energies, bound, np.zeros(opts.restarts))
+        state, best = _ensemble_spectra(kraus, weights, vecs)
+        best_w, best_v, step, ids = weights, vecs, np.full(opts.restarts, 0.25), np.arange(opts.restarts)
+        history, rate_a, rate_b = [best], np.zeros(opts.restarts), np.zeros(opts.restarts)
+    for taken in range(1, 1 if certified else opts.max_iterations + 1):
         # (a) weight update toward the exponential-tilt fixed point
         amps, images, p, u, q, v = state
         scores, member_entropies, logs = _member_terms(p, u, q, v, _RELENT_CAP_BITS)

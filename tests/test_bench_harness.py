@@ -5,6 +5,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,12 @@ def test_tracer_names_resolve_to_wrapped_functions():
         module = importlib.import_module(f"entrocap.{layer}")
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, key
+
+
+@pytest.mark.parametrize("seed", [17, 305])
+def test_cli_specs_gates_pass_at_seed(seed):
+    # seeds at which the identity qubit's chi run once ended below its gate; the last stdout line is the result
+    argv = [sys.executable, str(BENCH / "run.py"), "--workload", "cli_specs", "--seed", str(seed)]
+    proc = subprocess.run([*argv, "--seconds", "1", "--trace", "0"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0, proc.stdout

@@ -286,6 +286,14 @@ class TestReports:
         _, report_b, _ = run("chi", f"{SPECS}/cq_qutrit.json", dict(flags))
         assert json.dumps(report_a, sort_keys=True) == json.dumps(report_b, sort_keys=True)
 
+    def test_chi_members_flag_bounds_the_ensemble(self, tmp_path):
+        # the qubit's two-member Gibbs eigen-ensemble does not fit in one member: the optimizer's stack runs
+        out = tmp_path / "report.json"
+        assert main(["chi", f"{SPECS}/identity_qubit.json", "--members", "1", "--report", str(out)]) == 0
+        assert json.loads(out.read_text())["results"] == {
+            "value_bits": 0.0, "heuristic": True, "iterations": 60, "converged": True, "ensemble_size": 1,
+        }
+
     def test_report_file_written(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["validate", f"{SPECS}/identity_qubit.json", "--report", str(out)])
