@@ -17,7 +17,6 @@ from .capacity import (
     additivity_probe,
     cea_capacity,
     check_prop1,
-    chi_at_state,
     chi_capacity,
     coincidence_certificate,
     constraint_tensor,

@@ -7,8 +7,8 @@ L = 2, so a Bregman-proximal (mirror, Blahut-Arimoto) step of size 1/2 never
 lowers it and keeps the iterate feasible: the best iterate is a lower bound.
 At each iterate an exact linear maximization oracle bounds the optimum from
 above, which certifies the bracket (see :func:`cea_capacity`).  The chi
-optimizers are multi-start local searches; their results are flagged
-heuristic lower bounds.  :func:`chi_capacity` stops early, or returns F's Gibbs
+optimizer, :func:`chi_capacity`, is a multi-start local search; its results are
+flagged heuristic lower bounds.  It stops early, or returns F's Gibbs
 eigen-ensemble at once, where a one-shot upper bound certifies its value within
 ``gap_tolerance``.
 """
@@ -26,7 +26,6 @@ from .channels import (
     KrausChannel,
     QuantumOperation,
     _output_and_environment,
-    apply,
     complementary,
     dual_apply,
     dual_environment,
@@ -43,11 +42,9 @@ from .linalg import (
     _as_matrix,
     _eig,
     _log2_from_eig,
-    _spectra,
     assert_density_operator,
     assert_hermitian,
     hermitian_log2,
-    sample_isometry,
     tensor,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "additivity_probe",
     "cea_capacity",
     "check_prop1",
-    "chi_at_state",
     "chi_capacity",
     "coincidence_certificate",
     "constraint_tensor",
@@ -78,6 +74,14 @@ _MAX_STEP = 64.0
 
 # A chi restart stops once its best value gains at most 1e-12 over this many iterations.
 _CHI_STALL_STEPS = 20
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,10 @@ class EnergyConstraint:
         return self.operator.shape[0]
 
     def energy(self, rho) -> float:
-        return float(np.trace(np.asarray(rho) @ self.operator).real)
+        rho = _as_matrix(rho)
+        if rho.shape != self.operator.shape:
+            raise ValidationError(f"state shape {rho.shape} does not match the constraint dimension {self.dim}")
+        return float(np.trace(rho @ self.operator).real)
 
     def is_feasible(self, rho, slack: float = FEASIBILITY_TOL) -> bool:
         return self.energy(rho) <= self.bound + slack
@@ -117,9 +124,9 @@ class EnergyConstraint:
 
 def constraint_tensor(constraint: EnergyConstraint, n: int) -> EnergyConstraint:
     """n-copy constraint (F(x)I...I + ... + I...I(x)F, n*E)."""
+    if not _is_integer(n) or n < 1:
+        raise ValidationError(f"copy count must be an integer >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValidationError("copy count must be at least 1")
     d = constraint.dim
     total = np.zeros((d**n, d**n), dtype=complex)
     for j in range(n):
@@ -133,7 +140,7 @@ def constraint_tensor(constraint: EnergyConstraint, n: int) -> EnergyConstraint:
 class OptimizerOptions:
     """Optimizer settings.
 
-    ``restarts`` and ``seed`` apply only to the heuristic chi optimizers.
+    ``restarts`` and ``seed`` apply only to the heuristic chi optimizer.
     ``gap_tolerance`` ends a certified run once its bracket is that narrow, and
     a :func:`chi_capacity` run once its best value is that close to chi's upper
     bound.
@@ -146,18 +153,12 @@ class OptimizerOptions:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        def integer(v):
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-        def real(v):
-            return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
         for name, ok, rule in (  # in order: the range rows only see numbers of the right kind
-            ("max_iterations", integer, "an integer"),
-            ("restarts", integer, "an integer"),
-            ("seed", integer, "an integer"),
-            ("gap_tolerance", real, "a real number"),
-            ("epsilon", real, "a real number"),
+            ("max_iterations", _is_integer, "an integer"),
+            ("restarts", _is_integer, "an integer"),
+            ("seed", _is_integer, "an integer"),
+            ("gap_tolerance", _is_real, "a real number"),
+            ("epsilon", _is_real, "a real number"),
             ("max_iterations", lambda v: v >= 1, ">= 1"),
             ("restarts", lambda v: v >= 1, ">= 1"),
             ("seed", lambda v: v >= 0, ">= 0"),
@@ -375,7 +376,7 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     channel = _maybe_prune(channel)
     t0 = time.perf_counter()
     d = channel.dim_in
-    levels = np.linalg.eigvalsh(constraint.operator)
+    levels = constraint._eigenpairs[0]
     rho, log_rho = _gibbs_tilt(np.zeros((d, d), dtype=complex), constraint, levels)
     cur = mutual_information_value(channel, rho)
     best_val, best_rho, upper, eta, trace = cur, rho, math.inf, 0.5, []
@@ -663,96 +664,6 @@ def chi_capacity(
         raise ValidationError("heuristic ensemble left the feasible set")
     return CapacityResult(
         value=chi_through(channel, mu),
-        optimizer=mu,
-        gap=None,
-        heuristic=True,
-        iterations=sum(o[2] for o in outcomes),
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-    )
-
-
-def chi_at_state(
-    channel: KrausChannel,
-    rho,
-    members: int | None = None,
-    opts: OptimizerOptions | None = None,
-) -> CapacityResult:
-    """Heuristic chi value at a fixed average state.
-
-    Minimizes the mean output entropy over pure decompositions of ``rho``;
-    decompositions are parametrized by isometries acting on the canonical
-    purification, searched by Riemannian gradient descent with restarts.
-    ``iterations`` sums the steps the restarts took; ``converged`` means the
-    winning restart stopped on the gradient test or the step-size floor.
-    """
-    opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
-    w, u = (a[..., ::-1] for a in _spectra(_as_matrix(rho), "state", vectors=True, unit_trace=True))
-    if len(w) != channel.dim_in:
-        raise ValidationError("state dimension does not match channel input")
-    channel = _maybe_prune(channel)
-    rank = int((w > 1e-12).sum())
-    m = int(members) if members is not None else max(rank * rank, rank)
-    if m < rank:
-        raise ValidationError(f"decomposition size {m} below state rank {rank}")
-    t0 = time.perf_counter()
-    kraus = channel.kraus_stack()
-    root = u[:, :rank] * np.sqrt(w[:rank])  # rho = root root†
-
-    def objective(stiefel):
-        x = stiefel @ root.T  # rows are subnormalized member vectors
-        amps, images = _pure_images(kraus, x)
-        p, u = _eig(images, "member image")
-        return float(_spectrum_entropy(p).sum()), (x, amps, p, u)
-
-    def gradient(stiefel, state):
-        x, amps, p, u = state
-        tr = np.einsum("ia,ia->i", x.conj(), x).real
-        logs = np.log2(np.where(tr > 1e-14, tr, 1.0))[:, None, None] * np.eye(channel.dim_out)
-        y = np.einsum("kba,ibk->ia", kraus.conj(), (logs - _log2_from_eig(p, u)) @ amps)
-        g = np.where(tr[:, None] > 1e-14, y, 0.0) @ root.conj()  # d(objective)/d(conj stiefel)
-        sym = stiefel.conj().T @ g
-        return g - stiefel @ (0.5 * (sym + sym.conj().T))
-
-    def run(restart: int):
-        if restart == 0 and m >= rank:
-            stiefel = np.zeros((m, rank), dtype=complex)
-            stiefel[:rank, :rank] = np.eye(rank)
-        else:
-            stiefel = sample_isometry(rank, m, seed=opts.seed + restart)
-        val, state = objective(stiefel)
-        step, taken, converged = 0.5, 0, False
-        for _ in range(opts.max_iterations):
-            g = gradient(stiefel, state)
-            if float(np.abs(g).max()) < 1e-12:
-                converged = True
-                break
-            taken += 1
-            cand = stiefel - step * g
-            q, r = np.linalg.qr(cand)
-            diag = np.diagonal(r)
-            q = q * (diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0))).conj()
-            cand_val, cand_state = objective(q)
-            if cand_val < val - 1e-14:
-                stiefel, val, state = q, cand_val, cand_state
-                step = min(step * 1.25, 4.0)
-            else:
-                step *= 0.5
-                if step < 1e-8:
-                    converged = True
-                    break
-        return val, state[0], taken, converged
-
-    outcomes = [(*run(r), r) for r in range(opts.restarts)]
-    best_hull, x, _, converged, _ = min(outcomes, key=lambda o: (o[0], o[4]))
-
-    weights = np.einsum("ia,ia->i", x.conj(), x).real
-    keep = weights > 1e-12
-    rows = x[keep] / np.sqrt(weights[keep])[:, None]
-    mu = Ensemble(weights[keep] / weights[keep].sum(), tuple(np.outer(r, r.conj()) for r in rows))
-    value = float(_spectrum_entropy(_eig(apply(channel, rho), "channel output")[0])) - best_hull
-    return CapacityResult(
-        value=value,
         optimizer=mu,
         gap=None,
         heuristic=True,

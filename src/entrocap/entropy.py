@@ -26,7 +26,9 @@ from .channels import KrausChannel, QuantumOperation, _output_and_environment, a
 from .errors import ValidationError
 from .linalg import (
     LN2,
+    _as_complex,
     _as_matrix,
+    _coerce_layout,
     _eig,
     _log2_from_eig,
     _spectra,
@@ -134,9 +136,9 @@ def conditional_entropy(rho, layout, sys=(0,), cond=(1,)) -> float:
         raise ValidationError("sys must name at least one subsystem")
     if set(sys) & set(cond):
         raise ValidationError("sys and cond must be disjoint")
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_matrix(rho)
     keep = sorted(set(sys) | set(cond))
-    dims = list(layout.dims) if hasattr(layout, "dims") else [int(d) for d in layout]
+    dims = list(_coerce_layout(layout).dims)
     reduced = partial_trace(rho, dims, keep)
     kept_dims = [dims[k] for k in keep]
     order = [keep.index(s) for s in sys] + [keep.index(c) for c in cond]
@@ -196,7 +198,7 @@ def pure_state_ensemble(weights, vectors) -> Ensemble:
     """Ensemble of pure states given as (unnormalized-ok) complex vectors."""
     states = []
     for v in vectors:
-        v = np.asarray(v, dtype=complex).reshape(-1)
+        v = _as_complex(v).reshape(-1)
         n = np.linalg.norm(v)
         if n <= 0:
             raise ValidationError("pure member must be a nonzero vector")

@@ -72,7 +72,10 @@ class CompositeLayout:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(int(d) for d in self.dims)
+        except (TypeError, ValueError):
+            raise ValidationError(f"subsystem dimensions must be integers: {self.dims!r}") from None
         object.__setattr__(self, "dims", dims)
         if any(d < 1 for d in dims):
             raise ValidationError(f"subsystem dimensions must be positive: {dims}")
@@ -103,7 +106,7 @@ class PureVector:
     layout: CompositeLayout
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=complex).reshape(-1)
+        v = _as_complex(self.vec).reshape(-1)
         object.__setattr__(self, "vec", v)
         if v.shape[0] != self.layout.total_dim:
             raise ValidationError("vector length does not match layout")
@@ -117,7 +120,7 @@ class PureVector:
 def _coerce_layout(layout) -> CompositeLayout:
     if isinstance(layout, CompositeLayout):
         return layout
-    return CompositeLayout(tuple(int(d) for d in layout))
+    return CompositeLayout(tuple(layout))
 
 
 def assert_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:

@@ -1,5 +1,4 @@
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +13,11 @@ from entrocap import (
     additivity_probe,
     cea_capacity,
     check_prop1,
-    chi_at_state,
     chi_capacity,
     coincidence_certificate,
     complementary,
     constraint_tensor,
     cq_channel,
-    dephasing_channel,
     depolarizing_channel,
     entropy,
     feasible_linear_max,
@@ -41,7 +38,6 @@ from entrocap import (
     truncation_convergence,
 )
 from entrocap import capacity
-from entrocap.channels import apply
 from entrocap.specfile import load_spec
 
 QUBIT_F = np.diag([0.0, 1.0])
@@ -103,6 +99,12 @@ class TestEnergyConstraint:
         c2 = constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), 2)
         assert np.allclose(np.diagonal(c2.operator).real, [0.0, 1.0, 1.0, 2.0])
         assert abs(c2.bound - 0.6) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", 0])
+    def test_constraint_tensor_rejects_a_non_integer_count(self, n):
+        # 2.5 built two copies with bound 2E, and True one copy, without an error
+        with pytest.raises(ValidationError, match="copy count must be an integer >= 1"):
+            constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), n)
 
     def test_energy_additive_on_products(self):
         rho = sample_state(2, seed=1)
@@ -370,14 +372,16 @@ class TestMirrorAscent:
         assert res.value - 1e-12 <= 1.0 <= res.value + res.gap
         assert np.abs(res.optimizer - np.diag([0.5, 0.5, 0.0])).max() <= 1e-3
 
-    def test_attenuator_cutoff_40(self):
+    def test_attenuator_cutoff_40(self, eig_calls):
+        # bounds work rather than wall time, which varies with host load
         n = 40
-        t0 = time.perf_counter()
-        res = cea_capacity(fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0))
-        elapsed = time.perf_counter() - t0
+        channel, constraint = fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0)
+        eig_calls.clear()
+        res = cea_capacity(channel, constraint)
         assert res.converged
         assert res.value - 1e-12 <= self.closed_form() <= res.value + res.gap
-        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert res.iterations <= 1
+        assert len(eig_calls) <= 94
 
     def test_attenuator_cutoff_20_iterations(self):
         # the Gibbs start is the thermal state, the cutoff-free optimum
@@ -518,96 +522,6 @@ class TestGradientAudits:
             ana = float(np.trace(grad @ direction).real)
             worst = max(worst, abs(num - ana))
         assert worst <= 1e-5, worst
-
-    def test_decomposition_gradient_matches_finite_differences(self):
-        from entrocap.channels import dual_apply
-        from entrocap.linalg import hermitian_eig, hermitian_log2, sample_isometry
-
-        rng = np.random.default_rng(33)
-        chan = sample_channel(3, 3, 2, seed=34)
-        rho = sample_state(3, seed=35)
-        w, u = hermitian_eig(rho)
-        root = u * np.sqrt(np.clip(w, 0.0, None))
-        m = 5
-        stiefel = sample_isometry(3, m, seed=36)
-
-        def objective(mat):
-            x = mat @ root.T
-            return sum(entropy(apply(chan, np.outer(x[i], x[i].conj()))) for i in range(m))
-
-        x = stiefel @ root.T
-        rows = []
-        for i in range(m):
-            xi = x[i]
-            tr = float(np.vdot(xi, xi).real)
-            sig = apply(chan, np.outer(xi, xi.conj()))
-            mat = dual_apply(chan, -hermitian_log2(sig) + math.log2(tr) * np.eye(chan.dim_out))
-            rows.append(mat @ xi)
-        grad = np.stack(rows, axis=0) @ root.conj()
-
-        eps = 1e-6
-        worst = 0.0
-        for _ in range(10):
-            direction = rng.standard_normal(stiefel.shape) + 1j * rng.standard_normal(stiefel.shape)
-            direction /= np.linalg.norm(direction)
-            num = (objective(stiefel + eps * direction) - objective(stiefel - eps * direction)) / (2 * eps)
-            ana = 2.0 * float(np.real(np.vdot(grad, direction)))
-            worst = max(worst, abs(num - ana))
-        assert worst <= 1e-5, worst
-
-
-class TestChiAtState:
-    def test_identity_gives_input_entropy(self):
-        rho = sample_state(3, seed=8)
-        res = chi_at_state(identity_channel(3), rho)
-        assert abs(res.value - entropy(rho)) <= 5e-3
-        assert res.heuristic and res.gap is None
-
-    def test_replacement_is_zero(self):
-        chan = replacement_channel(sample_state(2, seed=9), dim_in=2)
-        res = chi_at_state(chan, sample_state(2, seed=10))
-        assert abs(res.value) <= 1e-8
-
-    def test_dephasing_matches_grid_oracle(self):
-        chan = dephasing_channel(2)
-        res = chi_at_state(chan, np.eye(2) / 2, members=2)
-        # exhaustive search over 2-member decompositions (orthonormal bases)
-        best = math.inf
-        for theta in np.linspace(0.0, np.pi / 2, 61):
-            for phase in np.linspace(0.0, np.pi, 61):
-                v1 = np.array([np.cos(theta), np.exp(1j * phase) * np.sin(theta)])
-                v2 = np.array([-np.exp(-1j * phase) * np.sin(theta), np.cos(theta)])
-                avg = 0.5 * (
-                    entropy(apply(chan, np.outer(v1, v1.conj())))
-                    + entropy(apply(chan, np.outer(v2, v2.conj())))
-                )
-                best = min(best, avg)
-        oracle = entropy(apply(chan, np.eye(2) / 2)) - best
-        assert abs(oracle - 1.0) <= 1e-6
-        assert abs(res.value - oracle) <= 5e-3
-
-    def test_member_count_validation(self):
-        with pytest.raises(ValidationError):
-            chi_at_state(identity_channel(2), np.eye(2) / 2, members=1)
-
-    def test_iterations_count_steps_taken(self):
-        # the gradient vanishes at once, so no restart takes a step
-        res = chi_at_state(identity_channel(2), np.eye(2) / 2)
-        assert res.iterations < 3 * 160
-
-    def test_converged_reports_the_stop_rule(self):
-        # the gradient vanishes at once: converged, no step taken
-        res = chi_at_state(identity_channel(2), np.eye(2) / 2)
-        assert res.converged and res.iterations == 0
-        # two steps are not enough on a random channel: the iteration limit stops every restart
-        chan = sample_channel(3, 2, 3, seed=5)
-        res = chi_at_state(chan, sample_state(3, seed=105), opts=OptimizerOptions(max_iterations=2, restarts=2))
-        assert not res.converged and res.iterations == 4
-
-    def test_decomposition_reconstructs_average(self):
-        rho = sample_state(3, rank=2, seed=11)
-        res = chi_at_state(identity_channel(3), rho)
-        assert np.abs(res.optimizer.barycenter() - rho).max() <= 1e-8
 
 
 class TestChiCapacity:

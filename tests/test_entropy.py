@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from entrocap import (
+    CompositeLayout,
+    EnergyConstraint,
     Ensemble,
     KrausChannel,
     QuantumOperation,
@@ -26,6 +28,7 @@ from entrocap import (
     identity_channel,
     mutual_information,
     partial_trace,
+    PureVector,
     pure_state_ensemble,
     purify,
     raw_entropy,
@@ -102,26 +105,42 @@ class TestEntropy:
 
 
 RAGGED = [[0.5, 0.0], [0.5]]
+NON_NUMERIC = [["a", "b"], ["c", "d"]]
+NUMERIC = "expected a numeric array"
+QUBIT_CONSTRAINT = EnergyConstraint(np.diag([0.0, 1.0]), 0.5)
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entry, bad, match",
     [
-        entropy,
-        raw_entropy,
-        lambda a: relative_entropy(a, np.eye(2) / 2),
-        assert_density_operator,
-        purify,
-        hermitian_eig,
-        lambda a: mutual_information(a, identity_channel(2)),
-        lambda a: mutual_information(a, identity_channel(2), route="entropies"),
+        *((entry, RAGGED, NUMERIC) for entry in (
+            entropy,
+            raw_entropy,
+            lambda a: relative_entropy(a, np.eye(2) / 2),
+            assert_density_operator,
+            purify,
+            hermitian_eig,
+            lambda a: mutual_information(a, identity_channel(2)),
+            lambda a: mutual_information(a, identity_channel(2), route="entropies"),
+        )),
+        # numpy's matmul, conversion or int() errors reached the caller before these were converted
+        (QUBIT_CONSTRAINT.energy, NON_NUMERIC, NUMERIC),
+        (QUBIT_CONSTRAINT.energy, np.eye(3), "does not match the constraint dimension"),
+        (QUBIT_CONSTRAINT.is_feasible, NON_NUMERIC, NUMERIC),
+        (QUBIT_CONSTRAINT.is_feasible, np.eye(3), "does not match the constraint dimension"),
+        (lambda a: conditional_entropy(a, (2, 1)), NON_NUMERIC, NUMERIC),
+        (lambda a: conditional_entropy(np.eye(4) / 4, a), ("a", 2), "subsystem dimensions must be integers"),
+        (lambda a: pure_state_ensemble([1.0], a), NON_NUMERIC, NUMERIC),
+        (lambda a: PureVector(a, CompositeLayout((2,))), ["a", "b"], NUMERIC),
     ],
     ids=["entropy", "raw_entropy", "relative_entropy", "assert_density_operator", "purify", "hermitian_eig",
-         "mutual_information", "mutual_information_entropies"],
+         "mutual_information", "mutual_information_entropies", "energy", "energy_wrong_size", "is_feasible",
+         "is_feasible_wrong_size", "conditional_entropy", "conditional_entropy_layout", "pure_state_ensemble",
+         "PureVector"],
 )
-def test_ragged_input_is_a_validation_error(entry):
-    with pytest.raises(ValidationError, match="expected a numeric array"):
-        entry(RAGGED)
+def test_ragged_input_is_a_validation_error(entry, bad, match):
+    with pytest.raises(ValidationError, match=match):
+        entry(bad)
 
 
 @pytest.mark.parametrize("entry", [entropy, raw_entropy])

@@ -17,7 +17,7 @@ TOP_LEVEL = [
     "GaussianState", "KrausChannel", "OptimizerOptions", "PureVector", "QuantumOperation",
     "ResourceLimitError", "StinespringDilation", "SymplecticSpace", "ValidationError", "additivity_probe",
     "apply", "assert_density_operator", "assert_hermitian", "attenuator_params", "capacity", "cea_capacity",
-    "channels", "check_prop1", "chi_at_state", "chi_capacity", "chi_quantity", "chi_through",
+    "channels", "check_prop1", "chi_capacity", "chi_quantity", "chi_through",
     "classify_gaussian", "coherent_information", "coincidence_certificate", "complementary",
     "conditional_entropy", "constraint_tensor", "cq_channel", "dephasing_channel", "depolarizing_channel",
     "dual_apply", "entropy", "environment_output", "errors", "feasible_linear_max", "fixed_marginal_ensemble",
@@ -51,7 +51,7 @@ LAYER_ALL = {
     ],
     "capacity": [
         "CapacityResult", "EnergyConstraint", "LinearMaxResult", "OptimizerOptions", "additivity_probe",
-        "cea_capacity", "check_prop1", "chi_at_state", "chi_capacity", "coincidence_certificate",
+        "cea_capacity", "check_prop1", "chi_capacity", "coincidence_certificate",
         "constraint_tensor", "feasible_linear_max", "mutual_information_value", "truncation_convergence",
     ],
     "gaussian": [
@@ -127,7 +127,6 @@ SIGNATURES = {
     "capacity.additivity_probe": "(channel: 'KrausChannel', constraint: 'EnergyConstraint', opts: 'OptimizerOptions | None' = None) -> 'dict'",
     "capacity.cea_capacity": "(channel: 'KrausChannel', constraint: 'EnergyConstraint', opts: 'OptimizerOptions | None' = None) -> 'CapacityResult'",
     "capacity.check_prop1": "(channel: 'KrausChannel', constraint: 'EnergyConstraint', opts: 'OptimizerOptions | None' = None, tolerance: 'float' = 1e-06) -> 'dict'",
-    "capacity.chi_at_state": "(channel: 'KrausChannel', rho, members: 'int | None' = None, opts: 'OptimizerOptions | None' = None) -> 'CapacityResult'",
     "capacity.chi_capacity": "(channel: 'KrausChannel', constraint: 'EnergyConstraint', members: 'int | None' = None, opts: 'OptimizerOptions | None' = None) -> 'CapacityResult'",
     "capacity.coincidence_certificate": "(channel: 'KrausChannel', constraint: 'EnergyConstraint', opts: 'OptimizerOptions | None' = None, support_tol: 'float' = 1e-10) -> 'dict'",
     "capacity.constraint_tensor": "(constraint: 'EnergyConstraint', n: 'int') -> 'EnergyConstraint'",
