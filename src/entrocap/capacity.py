@@ -25,7 +25,6 @@ import numpy as np
 from .channels import (
     KrausChannel,
     QuantumOperation,
-    _output_and_environment,
     complementary,
     dual_apply,
     dual_environment,
@@ -41,6 +40,7 @@ from .linalg import (
     LN2,
     _as_matrix,
     _eig,
+    _is_integer,
     _log2_from_eig,
     assert_density_operator,
     assert_hermitian,
@@ -76,10 +76,6 @@ _MAX_STEP = 64.0
 _CHI_STALL_STEPS = 20
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
@@ -101,9 +97,7 @@ class EnergyConstraint:
         if not 0.0 <= e < math.inf:
             raise ValidationError(f"constraint bound must be finite and nonnegative, got {e}")
         if float(w.min()) > e + 1e-12:
-            raise ValidationError(
-                f"infeasible constraint: min eig F = {float(w.min()):.6g} exceeds bound {e}"
-            )
+            raise ValidationError(f"infeasible constraint: min eig F = {float(w.min()):.6g} exceeds bound {e}")
         object.__setattr__(self, "operator", f)
         object.__setattr__(self, "bound", e)
         object.__setattr__(self, "_eigenpairs", (np.maximum(w, 0.0), u))  # levels ascending, clipped at 0
@@ -191,9 +185,7 @@ class CapacityResult:
 
     @property
     def upper_bound(self) -> float:
-        if self.gap is None:
-            return math.inf
-        return self.value + self.gap
+        return math.inf if self.gap is None else self.value + self.gap
 
 
 @dataclass(frozen=True)
@@ -313,7 +305,8 @@ def mutual_information_value(channel: KrausChannel, rho) -> float:
 
 def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
     """Gradient of the mutual information in bits; ``log2_rho`` replaces the floored ``log2 rho``."""
-    out, env = _output_and_environment(channel, rho)
+    tmp, conj = channel.kraus_stack() @ rho, channel.kraus_stack().conj()  # not _output_and_environment: ROADMAP 6
+    out, env = np.tensordot(tmp, conj, axes=([0, 2], [0, 2])), np.tensordot(tmp, conj, axes=([1, 2], [1, 2]))
     grad = (
         -(hermitian_log2(rho) if log2_rho is None else log2_rho)
         - dual_apply(channel, hermitian_log2(out))
@@ -440,7 +433,8 @@ def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
                 break
         if not lo < (mid := 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0) < hi:
             break
-        t = beta - (2.0 if slow else 1.0) * (excess + 0.5 * rounding) / slope if slope < 0.0 else mid
+        # in Python floats a subnormal slope sends the step to inf (no numpy overflow), and the midpoint is taken
+        t = beta - (2.0 if slow else 1.0) * float(excess + 0.5 * rounding) / float(slope) if slope < 0.0 else mid
         if not lo < t < hi:
             t = mid
         state, excess_t, slope = tilt(t)

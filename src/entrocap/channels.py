@@ -9,8 +9,8 @@ contracts that could see the ordering are stated spectrum-level.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .linalg import (
     _as_complex,
     _as_matrix,
     _eig,
+    _is_integer,
     _spectra,
     hermitian_basis,
     hermitian_eig,
@@ -106,6 +107,11 @@ class QuantumOperation:
         """Kraus family as one (env_dim, dim_out, dim_in) array."""
         return self._stack
 
+    @cached_property
+    def _by_output(self) -> np.ndarray:
+        """The Kraus stack in (B, E, A) order, copied on first use: ``[K_0 x  K_1 x ...]`` is one GEMM."""
+        return np.ascontiguousarray(self._stack.transpose(1, 0, 2))
+
     def __call__(self, rho) -> np.ndarray:
         return apply(self, rho)
 
@@ -160,10 +166,14 @@ def environment_output(op: QuantumOperation, rho) -> np.ndarray:
 
 
 def _output_and_environment(op: QuantumOperation, rho) -> tuple[np.ndarray, np.ndarray]:
-    """``(apply(op, rho), environment_output(op, rho))`` from one product ``K_i rho`` and one ``K.conj()``."""
-    ks = op.kraus_stack()
-    tmp, conj = ks @ _operand(op, rho), ks.conj()
-    return np.tensordot(tmp, conj, axes=([0, 2], [0, 2])), np.tensordot(tmp, conj, axes=([1, 2], [1, 2]))
+    """``(Phi(rho), env)`` of a Hermitian rho from one product K_e rho on the (B, E, A) stack: Phi = K (K rho)†."""
+    ks = op._by_output
+    b, e, a = ks.shape
+    tmp = ks.reshape(b * e, a) @ _operand(op, rho)  # rows (b, e) of K_e rho
+    np.conjugate(tmp, out=tmp)
+    out = ks.reshape(b, e * a) @ tmp.reshape(b, e * a).T
+    tmp = tmp.reshape(b, e, a).transpose(1, 0, 2).reshape(e, b * a)  # rebound, so at most two stack-sized arrays live
+    return out, op.kraus_stack().reshape(e, b * a) @ tmp.T
 
 
 def dual_environment(op: QuantumOperation, m) -> np.ndarray:
@@ -198,7 +208,7 @@ def tensor_channel(op1: QuantumOperation, op2: QuantumOperation) -> QuantumOpera
 
 def _eye(dim) -> np.ndarray:
     """Identity on a builder's dimension argument; dimension 0 is left to the Kraus shape check."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 0:
+    if not _is_integer(dim) or dim < 0:
         raise ValidationError(f"dimension must be a nonnegative integer, got {dim!r}")
     return np.eye(dim)
 

@@ -30,13 +30,13 @@ from .linalg import (
     _as_matrix,
     _coerce_layout,
     _eig,
+    _indices,
     _log2_from_eig,
     _spectra,
     assert_density_operator,
     hermitian_eig,  # noqa: F401  (read as entrocap.entropy.hermitian_eig by the benchmark harness)
     partial_trace,
     permute_subsystems,
-    purify,
     tensor,
 )
 
@@ -130,8 +130,7 @@ def conditional_entropy(rho, layout, sys=(0,), cond=(1,)) -> float:
     dimension agrees with ``H(rho_SC) - H(rho_C)`` but stays meaningful when
     stated through the relative entropy.  May be negative.
     """
-    sys = tuple(int(s) for s in sys)
-    cond = tuple(int(c) for c in cond)
+    sys, cond = _indices(sys, "sys"), _indices(cond, "cond")
     if not sys:
         raise ValidationError("sys must name at least one subsystem")
     if set(sys) & set(cond):
@@ -238,40 +237,40 @@ def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy
 
     ``route="relative_entropy"`` evaluates the defining ``H((Phi (x) Id)[rho_hat] || Phi[rho] (x) ref)``
     on a canonical purification ``rho_hat`` with reference marginal ``ref``; it also covers
-    trace-decreasing operations.  One checked eigendecomposition of rho gives the factor ``phi`` (and
-    ``ref``, diagonal in its basis); ``m = K phi`` gives ``Phi[rho] = sum_k m_k m_k†`` and the joint
-    state, whose nonzero spectrum is the squared singular values of the K x d_out d factor, taken on
-    its tall side.  Both are read in the marginals' product eigenbasis: O(K d_out d (d_out + d + K))
-    time, no (d_out d)^2 array.  ``route="entropies"`` uses ``H(rho) + H(Phi[rho]) - H(env)`` (channels
-    only): one checked spectrum of rho is the boundary check and H(rho), and one product ``K_i rho``
-    gives ``Phi[rho]`` and env.  The two routes share no spectrum and agree at finite dimension.
+    trace-decreasing operations.  One checked eigendecomposition of rho gives the factor ``phi`` and
+    ``ref``, diagonal in its basis.  One product on the channel-ordered (B, E, A) Kraus stack gives
+    ``[m_0 m_1 ...]``, ``m_e = K_e phi``, whose Gram is ``Phi[rho]``; the joint state's nonzero spectrum
+    is that of the Gram of the K x d_out d factor on its smaller side (K x K, else (d_out d)^2).  The
+    cross term and the leak screen are read in the marginals' product eigenbasis: O(K d_out d (d_out +
+    d + K)) time.  ``route="entropies"`` uses ``H(rho) + H(Phi[rho]) - H(env)`` (channels only): one
+    checked spectrum of rho is the boundary check and H(rho), and one product ``K_e rho`` gives
+    ``Phi[rho]`` and env for the bare eigensolver.  The K x K Gram equals env in exact arithmetic, but
+    the relative-entropy route builds it from ``phi`` and calls none of the entropies route's code.
     """
     if route == "entropies":
         if not isinstance(op, KrausChannel):
             raise ValidationError("entropy route requires a trace-preserving channel")
         rho = _as_matrix(rho)
-        h_rho = float(_spectrum_entropy(_spectra(rho, "state", unit_trace=True)))  # the boundary check and H(rho)
+        h_rho = _spectrum_entropy(_spectra(rho, "state", unit_trace=True))  # the boundary check and H(rho)
         out, env = _output_and_environment(op, rho)  # also checks the input dimension
-        return h_rho + entropy(out) - entropy(env)
+        h_out = _spectrum_entropy(_eig(out, "channel output", vectors=False))
+        return float(h_rho + h_out - _spectrum_entropy(_eig(env, "environment output", vectors=False)))
     if route != "relative_entropy":
         raise ValidationError(f"unknown route {route!r}")
-    phi = purify(rho).vec  # one checked eigendecomposition: the boundary check and the factor
-    d = math.isqrt(len(phi))
-    if d != op.dim_in:
+    w, u = _spectra(_as_matrix(rho), "state", vectors=True, unit_trace=True)  # the boundary check and the factor
+    if len(w) != op.dim_in:
         raise ValidationError("state dimension does not match the channel input")
-    phi = phi.reshape(d, d)  # phi[a, r]
-    p = np.einsum("ar,ar->r", phi.conj(), phi).real  # the reference marginal, diagonal in the basis r
-    kraus = op.kraus_stack()
-    m = (kraus.reshape(-1, d) @ phi).reshape(kraus.shape)  # the joint state is sum_k |vec m[k]><vec m[k]|
-    rows = np.concatenate(m, axis=1)  # [m[0] m[1] ...], so Phi(rho) = rows rows†
-    a, u_a = _eig(rows @ rows.conj().T, "channel output")
-    c = (u_a.conj().T @ rows).reshape(len(a), len(m), d)  # the factors m[k] in the product eigenbasis
-    weight = (c.real ** 2 + c.imag ** 2).sum(axis=1).ravel()
-    joint = m.reshape(len(m), -1)  # rows vec m[k]; the tall orientation takes LAPACK's cheaper SVD path
-    sv = np.linalg.svd(joint.T if joint.shape[0] < joint.shape[1] else joint, compute_uv=False) ** 2
-    # support containment holds identically here, so only exact kernel
-    # directions are screened; the value is finite at finite dimension
-    return float(_relative_entropy_tail(sv, np.outer(a, p).ravel(), weight, 0.0, 1e-9))
+    p, ks = w / w.sum(), op._by_output  # p: the reference marginal, diagonal in the basis r
+    b, k, d = ks.shape
+    m = (ks.reshape(b * k, d) @ (u * np.sqrt(p))).reshape(b, k * d)  # [m_0 m_1 ...], phi[a, r] = sqrt(p_r) u[a, r]
+    a, u_a = _eig(m @ m.conj().T, "channel output")
+    # |m_e|^2 in the product eigenbasis, summed over e; big temporaries are rebound once used (fewer page faults)
+    weight = (u_a.conj().T @ m).view(np.float64)
+    weight = np.square(weight, out=weight).reshape(b, k, 2 * d).sum(axis=1).reshape(b, d, 2).sum(axis=2).ravel()
+    m = m.reshape(b, k, d).transpose(1, 0, 2).reshape(k, b * d)  # rows vec m_e
+    joint = _eig(m @ m.conj().T if k <= b * d else m.conj().T @ m, "joint state", vectors=False)
+    # support containment holds identically, so only exact kernel directions are screened: the value is finite
+    return float(_relative_entropy_tail(joint, np.outer(a, p).ravel(), weight, 0.0, 1e-9))
 
 
 def coherent_information(rho, op: QuantumOperation, route: str = "relative_entropy") -> float:

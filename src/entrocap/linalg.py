@@ -9,6 +9,7 @@ repairing bad inputs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,18 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _indices(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a ValidationError unless it is an iterable of integers (numpy's too, no bool)."""
+    ints = tuple(values) if np.iterable(values) else (None,)
+    if not all(_is_integer(v) for v in ints):
+        raise ValidationError(f"{what} must be integers: {values!r}")
+    return tuple(int(v) for v in ints)
+
+
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -72,20 +85,14 @@ class CompositeLayout:
     labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        try:
-            dims = tuple(int(d) for d in self.dims)
-        except (TypeError, ValueError):
-            raise ValidationError(f"subsystem dimensions must be integers: {self.dims!r}") from None
+        dims = _indices(self.dims, "subsystem dimensions")
         object.__setattr__(self, "dims", dims)
         if any(d < 1 for d in dims):
             raise ValidationError(f"subsystem dimensions must be positive: {dims}")
-        if self.labels:
-            labels = tuple(self.labels)
-            if len(labels) != len(dims):
-                raise ValidationError("labels and dims must have equal length")
-            object.__setattr__(self, "labels", labels)
-        else:
-            object.__setattr__(self, "labels", tuple(f"S{i}" for i in range(len(dims))))
+        labels = tuple(self.labels) or tuple(f"S{i}" for i in range(len(dims)))
+        if len(labels) != len(dims):
+            raise ValidationError("labels and dims must have equal length")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def total_dim(self) -> int:
@@ -118,9 +125,7 @@ class PureVector:
 
 
 def _coerce_layout(layout) -> CompositeLayout:
-    if isinstance(layout, CompositeLayout):
-        return layout
-    return CompositeLayout(tuple(layout))
+    return layout if isinstance(layout, CompositeLayout) else CompositeLayout(layout)
 
 
 def assert_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
@@ -166,14 +171,14 @@ def _spectra(stack, name: str = "operator", vectors: bool = False, unit_trace: b
     return (w, u) if vectors else w
 
 
-def _eig(stack, name: str = "operator"):
+def _eig(stack, name: str = "operator", vectors: bool = True):
     """Bare entry of the spectral kernel, for operators the library built: eigenvalues (ascending, clipped at 0)
-    and eigenvectors of one Hermitian PSD matrix or a stack ``(..., d, d)`` from one eigensolver call on the lower
-    triangle.  A non-finite entry or an eigenvalue below ``-PSD_TOL`` raises a ValidationError."""
+    and, if ``vectors``, eigenvectors of one Hermitian PSD matrix or a stack ``(..., d, d)`` from one eigensolver
+    call on the lower triangle.  A non-finite entry or an eigenvalue below ``-PSD_TOL`` raises a ValidationError."""
     if not np.isfinite(stack.sum()):  # LAPACK may return finite spectra of a NaN matrix
         raise ValidationError(f"{name} contains non-finite entries")
-    w, u = np.linalg.eigh(stack)
-    return _clip_psd(w, name), u
+    w, u = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+    return (_clip_psd(w, name), u) if vectors else _clip_psd(w, name)
 
 
 def _clip_psd(w, name: str):
@@ -229,7 +234,7 @@ def partial_trace(x, layout, keep) -> np.ndarray:
     lay.check_operator(m)
     dims = lay.dims
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_indices(keep, "keep indices")))
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError(f"keep indices {keep} out of range for {n} subsystems")
     t = m.reshape(dims + dims)
@@ -247,7 +252,7 @@ def permute_subsystems(x, layout, order) -> np.ndarray:
     lay.check_operator(m)
     dims = lay.dims
     n = len(dims)
-    order = [int(i) for i in order]
+    order = list(_indices(order, "order"))
     if sorted(order) != list(range(n)):
         raise ValidationError(f"order {order} is not a permutation of {n} subsystems")
     t = m.reshape(dims + dims)
@@ -270,20 +275,12 @@ def purify(rho) -> PureVector:
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
     """Orthonormal Hermitian basis of the d x d matrix algebra (d^2 elements)."""
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+    eye = np.eye(d, dtype=complex)
+    basis = [np.outer(e, e) for e in eye]
     for i in range(d):
         for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            f = np.zeros((d, d), dtype=complex)
-            f[i, j] = 1j / np.sqrt(2.0)
-            f[j, i] = -1j / np.sqrt(2.0)
-            basis.append(f)
+            ij, ji = np.outer(eye[i], eye[j]), np.outer(eye[j], eye[i])
+            basis += [(ij + ji) / np.sqrt(2.0), 1j * (ij - ji) / np.sqrt(2.0)]
     return basis
 
 

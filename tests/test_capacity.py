@@ -769,6 +769,14 @@ class TestChiCapacity:
         with pytest.raises(ValidationError, match="non-finite"):
             capacity._least_feasible_rate(lambda beta: (None, 1.0 if beta == 0.0 else math.nan, -1.0), 1e-15)
 
+    def test_rate_search_survives_a_subnormal_slope(self):
+        # the Newton step (excess + rounding / 2) / slope overflows here; the search bisects instead and still
+        # lands on the least feasible rate, 1.0
+        def tilt(beta):
+            return beta, np.float64(1.0 if beta < 1.0 else -0.5), np.float64(-1.3e-311)
+
+        assert capacity._least_feasible_rate(tilt, 1e-12) == 1.0
+
     def test_warm_started_retilts_stay_within_budget(self, monkeypatch):
         # a cold search from beta = 0 at every re-tilt takes 3900 tilt evaluations here
         rates = self.count_tilts(monkeypatch)

@@ -263,6 +263,27 @@ class TestBatchedSpectralKernel:
 
 
 class TestConditionalEntropy:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"sys": ("a",)}, "sys must be integers"),  # was a raw ValueError from int()
+            ({"sys": (0.5,)}, "sys must be integers"),  # read subsystem 0
+            ({"sys": (True,)}, "sys must be integers"),
+            ({"cond": (1.5,)}, "cond must be integers"),
+            ({"cond": 1}, "cond must be integers"),
+        ],
+        ids=["str_sys", "float_sys", "bool_sys", "float_cond", "scalar_cond"],
+    )
+    def test_non_integer_subsystem_rejected(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            conditional_entropy(np.eye(4) / 4, (2, 2), **kwargs)
+
+    def test_numpy_integer_subsystems_accepted(self):
+        rho = sample_state(4, seed=9)
+        assert conditional_entropy(rho, (2, 2), sys=(np.int64(1),), cond=np.array([0])) == conditional_entropy(
+            rho, (2, 2), sys=(1,), cond=(0,)
+        )
+
     def test_product_state(self):
         a, b = sample_state(2, seed=4), sample_state(3, seed=5)
         val = conditional_entropy(tensor(a, b), (2, 3))
@@ -512,8 +533,9 @@ class TestMutualInformation:
             assert mid >= ends - 1e-8
 
     def test_entropies_route_work(self, eig_calls):
-        # one checked spectrum of rho (the boundary check and H(rho)), one of Phi(rho), one of env, and
-        # one product K_i rho shared by Phi(rho) and env
+        # one checked spectrum of rho (the boundary check and H(rho)), one bare spectrum each of Phi(rho) and
+        # env, and one product K_e rho on the channel-ordered (B, E, A) stack, shared by Phi(rho) and env; the
+        # stack's only other product is its contraction with that one into Phi(rho)
         calls, products = eig_calls, []
 
         class CountingStack(np.ndarray):
@@ -523,12 +545,12 @@ class TestMutualInformation:
 
         att, rho = fock_attenuator(0.6, 12), thermal_state(0.5, 12)
         expected = mutual_information(rho, att, route="entropies")
-        stack = att.kraus_stack().view(CountingStack)
-        object.__setattr__(att, "kraus_stack", lambda: stack)
+        stack = att._by_output.view(CountingStack)
+        object.__setattr__(att, "_by_output", stack)
         calls.clear()
         assert mutual_information(rho, att, route="entropies") == expected
         assert len(calls) == 3
-        assert products == [rho.shape]
+        assert products == [rho.shape, (att.env_dim * att.dim_in, att.dim_out)]
 
     def test_additivity_on_products(self):
         rng = np.random.default_rng(16)
@@ -582,23 +604,44 @@ class TestTensorStructuredRoute:
                 monkeypatch.setattr(importlib.import_module(module), name, forbidden, raising=False)
         assert abs(mutual_information(rho, att) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("d_in, d_out, rank", [(3, 2, 2), (2, 3, 1), (4, 3, 5), (2, 2, 5), (2, 1, 3), (3, 1, 4)])
+    @pytest.mark.parametrize(
+        "d_in, d_out, rank", [(3, 2, 2), (2, 3, 1), (4, 3, 5), (2, 1, 2), (2, 2, 5), (2, 1, 3), (3, 1, 4)]
+    )
     def test_both_svd_orientations(self, monkeypatch, d_in, d_out, rank):
-        # K < d_out d and K > d_out d: the SVD runs on the tall side of the joint factor either way
-        shapes, svd = [], np.linalg.svd
+        # the joint spectrum is the squared singular values of the K x d_out d factor, taken as the spectrum
+        # of its Gram on the smaller side: K x K when K <= d_out d, else (d_out d)^2; the route's other two
+        # eigensolver calls are rho's checked one and Phi(rho)'s
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
 
-        def recording(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+            def recording(a, *args, _name=name, _solver=solver, **kwargs):
+                shapes.append((_name, np.shape(a)))
+                return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         chan = sample_channel(d_in, d_out, rank, seed=10 * d_in + rank)
+        side = min(rank, d_out * d_in)
         for seed, r in enumerate((None, 1)):
             rho = sample_state(d_in, rank=r, seed=seed)
+            shapes.clear()
             value = mutual_information(rho, chan)
+            assert shapes == [("eigh", (d_in, d_in)), ("eigh", (d_out, d_out)), ("eigvalsh", (side, side))]
             assert abs(value - dense_mutual_information(rho, chan)) <= 1e-12
             assert abs(value - mutual_information(rho, chan, route="entropies")) <= 1e-8
-        assert shapes == [(d_out * d_in, rank) if rank < d_out * d_in else (rank, d_out * d_in)] * 2
+
+    @pytest.mark.parametrize("cutoff", [10, 20, 30])
+    def test_routes_agree_on_phased_attenuators(self, cutoff):
+        # the benchmark's mi_fock inputs: K -> diag(b) K diag(a)^* with phases drawn from seed 0, input and
+        # then output phases per cutoff in the order 10, 20, 30
+        rng = np.random.default_rng(0)
+        for n in (10, 20, 30):
+            a, b = (np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n + 1)) for _ in range(2))
+            if n == cutoff:
+                break
+        att = KrausChannel(b[:, None] * fock_attenuator(0.6, cutoff).kraus_stack() * a.conj())
+        rho = thermal_state(1.0, cutoff)
+        assert abs(mutual_information(rho, att) - mutual_information(rho, att, route="entropies")) <= 1e-12
 
     def test_nan_in_the_bare_entry_fails_closed(self, monkeypatch):
         module = importlib.import_module("entrocap.entropy")

@@ -117,6 +117,32 @@ class TestTensorPartialTrace:
         swapped = permute_subsystems(tensor(a, b), (2, 3), (1, 0))
         assert np.abs(swapped - tensor(b, a)).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            # int() truncated these: a 2x2 result from a (2.7, 2) layout, subsystem 0 read for index 0.5
+            (lambda: CompositeLayout((2.5, 2)), "subsystem dimensions must be integers"),
+            (lambda: CompositeLayout((True, 2)), "subsystem dimensions must be integers"),
+            (lambda: CompositeLayout(4), "subsystem dimensions must be integers"),
+            (lambda: partial_trace(np.eye(4) / 4, (2.7, 2), (0,)), "subsystem dimensions must be integers"),
+            (lambda: partial_trace(np.eye(4) / 4, (2, 2), (0.5,)), "keep indices must be integers"),
+            (lambda: partial_trace(np.eye(4) / 4, (2, 2), (False,)), "keep indices must be integers"),
+            (lambda: permute_subsystems(np.eye(4) / 4, (2, 2), (1.0, 0)), "order must be integers"),
+        ],
+        ids=["float_dim", "bool_dim", "scalar_dims", "partial_trace_dims", "float_keep", "bool_keep", "float_order"],
+    )
+    def test_non_integer_layout_rejected(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        rho = sample_state(6, seed=8)
+        layout = CompositeLayout(np.array([2, 3]))
+        assert layout.dims == (2, 3) and all(type(d) is int for d in layout.dims)
+        assert np.array_equal(partial_trace(rho, layout, (np.int64(1),)), partial_trace(rho, (2, 3), (1,)))
+        swapped = permute_subsystems(rho, (np.int32(2), 3), np.array([1, 0]))
+        assert np.array_equal(swapped, permute_subsystems(rho, (2, 3), (1, 0)))
+
 
 class TestPurify:
     def test_pure_input(self):
