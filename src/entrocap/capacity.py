@@ -40,6 +40,7 @@ from .linalg import (
     LN2,
     _as_matrix,
     _eig,
+    _indices,
     _is_integer,
     _log2_from_eig,
     assert_density_operator,
@@ -316,7 +317,8 @@ def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
 
 
 def _gibbs_tilt(h, constraint: EnergyConstraint, levels):
-    """``rho = exp(h - beta F) / Z`` at the least beta >= 0 with ``Tr rho F <= E``, and its exact log.
+    """``rho = exp(h - beta F) / Z`` at the least beta >= 0 with ``Tr rho F <= E``, its exact log, and its
+    eigenpairs ``(p, u)``, weights ascending.
 
     ``levels``: F's eigenvalues, ascending.  The energy's beta-slope is minus the Kubo-Mori variance
     ``sum_ij |F_ij|^2 L(p_i, p_j) - mean^2`` in the eigenbasis of ``h - beta F`` (L: logarithmic mean).
@@ -340,7 +342,7 @@ def _gibbs_tilt(h, constraint: EnergyConstraint, levels):
 
     beta, log_z, u, p = _least_feasible_rate(tilt, 2.0 * rounding)
     rho = (u * p) @ u.conj().T
-    return 0.5 * (rho + rho.conj().T), h - beta * f - log_z * np.eye(len(p))
+    return 0.5 * (rho + rho.conj().T), h - beta * f - log_z * np.eye(len(p)), (p, u)
 
 
 def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: OptimizerOptions | None = None) -> CapacityResult:
@@ -357,9 +359,21 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     *Certificate.*  By concavity ``I(rho_eps) + max_feasible <grad I(rho_eps), sigma - rho_eps>``, with
     ``rho_eps = (1 - eps) rho + eps I/d`` and the max from :func:`feasible_linear_max`, bounds the
     optimum.  The run stops once the least such bound is within ``gap_tolerance`` of the best iterate.
+    *Face step.*  The iterates ``exp(H)`` are full rank, so they only approach an optimum with a kernel.
+    The oracle's Lagrangian ``G - lam F`` at ``rho_eps`` has top eigenvalue ``value + gap - lam E``; an
+    eigendirection of rho whose diagonal entry lies below it by more than the current gap (upper bound
+    minus best value) is dominated.  When the dominated directions are exactly the least-weight tail of
+    rho's spectrum (strictly lighter than the rest), leave a face Q of dimension >= 2, and a tail of the
+    same size was dominated at the previous iterate too, the log-iterate ``Q† H Q`` (before its tilt) is
+    re-tilted on ``Q† F Q`` at E.  If that state's value beats both the best value and the step's
+    candidate, the same ascent runs on the face (the channel restricted to Q) within the remaining
+    iterations.  Its result, embedded, is a feasible state of the full problem and is certified by one
+    full-problem oracle call.  If that misses ``gap_tolerance``, the full ascent goes on from the step's
+    candidate, with no further face steps.
     The bracket ``[value, value + gap]`` is sound regardless of convergence; a non-converged run
     returns it with ``converged=False`` rather than raising.  ``trace`` has one ``(objective,
-    energy)`` record per completed iteration.
+    energy)`` record per completed iteration, a move to a face and the face's iterations included;
+    ``iterations`` counts the face's iterations too (a face that misses adds no records).
     """
     opts = opts or OptimizerOptions()
     if not isinstance(channel, KrausChannel):
@@ -369,31 +383,10 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     channel = _maybe_prune(channel)
     t0 = time.perf_counter()
     d = channel.dim_in
-    levels = constraint._eigenpairs[0]
-    rho, log_rho = _gibbs_tilt(np.zeros((d, d), dtype=complex), constraint, levels)
-    cur = mutual_information_value(channel, rho)
-    best_val, best_rho, upper, eta, trace = cur, rho, math.inf, 0.5, []
-
-    for iterations in range(1, opts.max_iterations + 1):
-        rho_eps = (1.0 - opts.epsilon) * rho + opts.epsilon * np.eye(d) / d
-        grad = _mi_gradient(channel, rho_eps)
-        lin = feasible_linear_max(grad, constraint)
-        ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
-        upper = min(upper, mutual_information_value(channel, rho_eps) + max(ascent, 0.0))
-        if upper - best_val <= opts.gap_tolerance:
-            break
-        step = LN2 * _mi_gradient(channel, rho, log_rho / LN2)  # nats, with the exact ln rho
-        eta = min(2.0 * eta, _MAX_STEP)
-        while True:
-            cand_rho, cand_log = _gibbs_tilt(log_rho + eta * step, constraint, levels)
-            cand = mutual_information_value(channel, cand_rho)
-            if cand >= cur or eta <= 0.5:
-                break
-            eta *= 0.5
-        rho, log_rho, cur = cand_rho, cand_log, cand
-        trace.append((cur, constraint.energy(rho)))
-        if cur > best_val:
-            best_val, best_rho = cur, rho
+    h = np.zeros((d, d), dtype=complex)
+    rho, log_rho, eig = _gibbs_tilt(h, constraint, constraint._eigenpairs[0])
+    start = (h, rho, log_rho, eig, mutual_information_value(channel, rho))
+    best_val, best_rho, upper, iterations, trace = _ascend(channel, constraint, opts, start, opts.max_iterations)
 
     gap = max(upper - best_val, 0.0)
     if not constraint.is_feasible(best_rho):
@@ -408,6 +401,83 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
         converged=gap <= opts.gap_tolerance,
         trace=tuple(trace),
     )
+
+
+def _dominated_tail(lagrangian, top: float, gap: float, p, u) -> int:
+    """How many of rho's least-weight eigendirections (eigenpairs ``(p, u)``, weights ascending) ``lagrangian``
+    dominates: the k with ``<u_i|L|u_i> < top - gap`` exactly for ``i < k`` and ``p[k-1] < p[k]``.  0 where the
+    dominated directions are no such tail or leave a face of dimension < 2 (a pure state has mutual information 0)."""
+    dominated = np.einsum("ij,ij->j", u.conj(), lagrangian @ u).real < top - gap
+    k = int(dominated.sum())
+    return k if 0 < k <= len(p) - 2 and dominated[:k].all() and p[k - 1] < p[k] else 0
+
+
+def _face_start(channel: KrausChannel, constraint: EnergyConstraint, h, q):
+    """The channel and constraint restricted to the face spanned by the columns of ``q``, and the start
+    ``(h, rho, ln rho, eigenpairs, I(rho))`` of :func:`_ascend` re-tilted from ``h = Q† H Q`` at E; None where no
+    face state is feasible."""
+    try:
+        face_con = EnergyConstraint(q.conj().T @ constraint.operator @ q, constraint.bound)
+    except ValidationError:  # the face's least level lies above E
+        return None
+    face, h = restrict(channel, q), q.conj().T @ h @ q
+    rho, log_rho, eig = _gibbs_tilt(h, face_con, face_con._eigenpairs[0])
+    return face, face_con, (h, rho, log_rho, eig, mutual_information_value(face, rho))
+
+
+def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: OptimizerOptions, start, budget: int):
+    """:func:`cea_capacity`'s mirror ascent with face steps for at most ``budget`` iterations, from ``start = (h,
+    rho, ln rho, (p, u), I(rho))``: rho is the tilt of the log-iterate ``h``, with eigenpairs ``(p, u)``.  Returns
+    ``(value, state, upper bound, iterations, trace)``."""
+    d, levels = channel.dim_in, constraint._eigenpairs[0]
+    h, rho, log_rho, (p, u), cur = start
+    best_val, best_rho, upper, eta, trace, faces, last_k = cur, rho, math.inf, 0.5, [], True, 0
+
+    def certificate(state):
+        rho_eps = (1.0 - opts.epsilon) * state + opts.epsilon * np.eye(d) / d
+        grad = _mi_gradient(channel, rho_eps)
+        lin = feasible_linear_max(grad, constraint)
+        ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
+        return mutual_information_value(channel, rho_eps) + max(ascent, 0.0), grad, lin
+
+    iterations = 0
+    while iterations < budget:
+        iterations += 1
+        bound, grad, lin = certificate(rho)
+        upper = min(upper, bound)
+        if upper - best_val <= opts.gap_tolerance:
+            break
+        lam = lin.multiplier
+        k = faces and iterations < budget and _dominated_tail(
+            grad - lam * constraint.operator, lin.value + lin.gap - lam * constraint.bound, upper - best_val, p, u
+        )
+        step = LN2 * _mi_gradient(channel, rho, log_rho / LN2)  # nats, with the exact ln rho
+        eta = min(2.0 * eta, _MAX_STEP)
+        while True:
+            cand_h = log_rho + eta * step
+            cand_rho, cand_log, cand_eig = _gibbs_tilt(cand_h, constraint, levels)
+            cand = mutual_information_value(channel, cand_rho)
+            if cand >= cur or eta <= 0.5:
+                break
+            eta *= 0.5
+        face = k and k == last_k and _face_start(channel, constraint, h, u[:, k:])  # the tail held for two iterates
+        last_k = k
+        if face and face[2][-1] > max(best_val, cand):  # the face start's value
+            face_chan, face_con, face_start = face
+            value, state, _, used, records = _ascend(face_chan, face_con, opts, face_start, budget - iterations)
+            iterations += used
+            embedded = u[:, k:] @ state @ u[:, k:].conj().T
+            best_val, best_rho = value, 0.5 * (embedded + embedded.conj().T)
+            upper = min(upper, certificate(best_rho)[0])
+            if upper - best_val <= opts.gap_tolerance:
+                trace += [(face_start[-1], face_con.energy(face_start[1])), *records]
+                break
+            faces = False
+        h, rho, log_rho, (p, u), cur = cand_h, cand_rho, cand_log, cand_eig, cand
+        trace.append((cur, constraint.energy(rho)))
+        if cur > best_val:
+            best_val, best_rho = cur, rho
+    return best_val, best_rho, upper, iterations, trace
 
 
 def _least_feasible_rate(tilt, rounding: float, start: float = 0.0):
@@ -732,22 +802,18 @@ def truncation_convergence(
     ordering=None,
     opts: OptimizerOptions | None = None,
 ) -> dict:
-    """Certified capacity brackets of output-truncated channels per rank."""
-    rows = []
-    for n in ranks:
-        trunc = minimize_kraus(truncate(channel, int(n), tau, ordering))
-        res = cea_capacity(trunc, constraint, opts)
-        rows.append(
-            {
-                "rank": int(n),
-                "value": res.value,
-                "gap": res.gap,
-                "converged": res.converged,
-            }
-        )
+    """Certified capacity brackets of output-truncated channels per rank.
+
+    Every rank, ``tau`` and ``ordering`` are checked before any solve, and each distinct rank is solved once.
+    """
+    ranks = _indices(ranks, "truncation ranks")
+    truncated = {n: truncate(channel, n, tau, ordering) for n in ranks}
+    runs = {n: cea_capacity(minimize_kraus(trunc), constraint, opts) for n, trunc in truncated.items()}
     full = cea_capacity(channel, constraint, opts)
     return {
-        "rows": rows,
+        "rows": [
+            {"rank": n, "value": runs[n].value, "gap": runs[n].gap, "converged": runs[n].converged} for n in ranks
+        ],
         "full": {"value": full.value, "gap": full.gap, "converged": full.converged},
     }
 

@@ -268,9 +268,9 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
     preserving and is returned in Kraus form.
     """
     d_out = channel.dim_out
+    if not _is_integer(n) or not 1 <= n <= d_out:
+        raise ValidationError(f"truncation rank must be an integer in [1, {d_out}], got {n!r}")
     n = int(n)
-    if n < 1 or n > d_out:
-        raise ValidationError(f"truncation rank must lie in [1, {d_out}], got {n}")
     w, u = _state_eig(tau, "truncation target")
     if len(w) != d_out:
         raise ValidationError("truncation target must live on the output space")

@@ -363,14 +363,25 @@ class TestMirrorAscent:
 
     def test_rank_deficient_optimum(self):
         # rank-2 truncation of the cq qutrit: input 2 lands on input 0's output at twice the
-        # energy, so the optimum diag(1/2, 1/2, 0) has a kernel and the value is 1 bit
+        # energy, so the optimum diag(1/2, 1/2, 0) has a kernel and the value is 1 bit; the
+        # face step solves on span{|0>, |1>} and lands on the kernel exactly
         tau = basis_state(3, 0)
         chan = minimize_kraus(truncate(CQ_QUTRIT, 2, tau))
         res = cea_capacity(chan, CQ_CONSTRAINT)
         assert res.converged
-        assert res.iterations <= 20
+        assert res.iterations <= 3
+        assert abs(res.value - 1.0) <= 1e-12
+        assert res.gap <= 1e-9
         assert res.value - 1e-12 <= 1.0 <= res.value + res.gap
+        assert np.trace(basis_state(3, 2) @ res.optimizer).real <= 1e-12  # weight on the kernel
         assert np.abs(res.optimizer - np.diag([0.5, 0.5, 0.0])).max() <= 1e-3
+
+    def test_rank_deficient_optimum_work(self, eig_calls):
+        # a work bound at the measured count, which host load cannot trip (without the face step: 237)
+        chan = minimize_kraus(truncate(CQ_QUTRIT, 2, basis_state(3, 0)))
+        eig_calls.clear()
+        cea_capacity(chan, CQ_CONSTRAINT)
+        assert len(eig_calls) <= 136
 
     def test_attenuator_cutoff_40(self, eig_calls):
         # bounds work rather than wall time, which varies with host load
@@ -412,7 +423,7 @@ class TestMirrorAscent:
             h, f, levels = self.random_problem(rng)
             bound = float(rng.uniform(levels[0], levels[-1]))
             con = EnergyConstraint(f, bound)
-            rho, log_rho = capacity._gibbs_tilt(h, con, levels)
+            rho, log_rho, (p, u) = capacity._gibbs_tilt(h, con, levels)
             # reference: the least feasible rate by a 200-step bisection
             lo, hi = 0.0, 1.0
             while self.gibbs(h, f, hi)[1] > bound:
@@ -424,8 +435,11 @@ class TestMirrorAscent:
                 lo, hi = (lo, mid) if self.gibbs(h, f, mid)[1] <= bound else (mid, hi)
             assert con.energy(rho) <= bound + 1e-12
             assert np.abs(rho - self.gibbs(h, f, hi)[0]).max() <= 1e-9
-            w, u = np.linalg.eigh(log_rho)  # the log is exact: exp(log_rho) = rho, unit trace
-            assert np.abs((u * np.exp(w)) @ u.conj().T - rho).max() <= 1e-12
+            w, v = np.linalg.eigh(log_rho)  # the log is exact: exp(log_rho) = rho, unit trace
+            assert np.abs((v * np.exp(w)) @ v.conj().T - rho).max() <= 1e-12
+            # the returned eigenpairs are rho's, weights ascending
+            assert np.all(np.diff(p) >= 0.0)
+            assert np.abs((u * p) @ u.conj().T - rho).max() <= 1e-12
 
     def test_energy_slope_is_minus_kubo_mori_variance(self, monkeypatch):
         # capture the tilt callback the beta search is given and difference its energy excess
@@ -452,7 +466,7 @@ class TestMirrorAscent:
         # F = I, E = 1: every state is feasible although its computed energy may round above 1
         h = sample_hermitian(3, seed=23)
         con = EnergyConstraint(np.eye(3), 1.0)
-        rho, _ = capacity._gibbs_tilt(h, con, np.ones(3))
+        rho, _, _ = capacity._gibbs_tilt(h, con, np.ones(3))
         assert np.abs(rho - self.gibbs(h, np.eye(3), 0.0)[0]).max() <= 1e-12
 
     def test_bound_at_least_level(self):
@@ -479,6 +493,33 @@ class TestMirrorAscent:
             assert all(energy <= con.bound + 1e-12 for _, energy in res.trace)
             assert all(b >= a for a, b in zip(values, values[1:]))
             assert res.value == max([*values, res.value])
+
+    def test_face_steps_keep_iterates_feasible_and_nondecreasing(self, monkeypatch):
+        # cq truncations under random diagonal F: optima on faces, where the face step runs
+        runs = []
+        ascend = capacity._ascend
+
+        def spy(channel, *args):
+            runs.append(channel.dim_in)
+            return ascend(channel, *args)
+
+        monkeypatch.setattr(capacity, "_ascend", spy)
+        rng = np.random.default_rng(27)
+        for _ in range(12):
+            d = int(rng.integers(3, 6))
+            outputs = [sample_state(d, rank=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**31))) for _ in range(d)]
+            cq = cq_channel(outputs)
+            chan = minimize_kraus(truncate(cq, int(rng.integers(1, d)), basis_state(d, int(rng.integers(0, d)))))
+            levels = rng.uniform(0.0, 3.0, d)
+            levels[int(rng.integers(0, d))] = 0.0
+            con = EnergyConstraint(np.diag(levels), float(rng.uniform(0.2, 1.5)))
+            res = cea_capacity(chan, con, OptimizerOptions(max_iterations=60))
+            values = [v for v, _ in res.trace]
+            assert con.is_feasible(res.optimizer, slack=1e-12)
+            assert all(energy <= con.bound + 1e-12 for _, energy in res.trace)
+            assert all(b >= a for a, b in zip(values, values[1:]))
+            assert res.value == max([*values, res.value])
+        assert len(runs) >= 12 + 3  # face ascents besides the one top-level ascent per run (5 measured)
 
     def test_asymmetric_constraint_operator_accepted(self):
         # an asymmetry within the Hermiticity tolerance is stored symmetrized
@@ -1031,6 +1072,33 @@ class TestTruncationConvergence:
         table = truncation_convergence(chan, con, [3], basis_state(3, 0))
         row, full = table["rows"][0], table["full"]
         assert abs(row["value"] - full["value"]) <= row["gap"] + full["gap"] + 1e-9
+
+    @pytest.mark.parametrize("ranks", [[1, 2, 3], [3], [1, 1, 2], [2, 3, 3, 2], []], ids=str)
+    def test_one_solve_per_distinct_rank(self, monkeypatch, ranks):
+        calls = []
+        solve = capacity.cea_capacity
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].dim_in)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "cea_capacity", spy)
+        con = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)
+        table = truncation_convergence(sample_channel(3, 3, 2, seed=18), con, ranks, basis_state(3, 0))
+        assert len(calls) == len(set(ranks)) + 1  # and one for the untruncated channel
+        assert [row["rank"] for row in table["rows"]] == ranks
+
+    @pytest.mark.parametrize("ranks", [[1.9, True], ["2"], [2.0], [np.float64(2.0)], 2])
+    def test_non_integer_ranks_rejected(self, ranks):
+        con = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)
+        with pytest.raises(ValidationError, match="truncation ranks must be integers"):
+            truncation_convergence(identity_channel(3), con, ranks, basis_state(3, 0))
+
+    def test_numpy_integer_ranks_accepted(self):
+        con = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)
+        table = truncation_convergence(identity_channel(3), con, np.array([1, 3]), basis_state(3, 0))
+        assert [row["rank"] for row in table["rows"]] == [1, 3]
+        assert all(type(row["rank"]) is int for row in table["rows"])
 
     def test_rank_one_with_matching_target_is_constant(self):
         con = EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 1.0)

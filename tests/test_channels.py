@@ -477,6 +477,16 @@ class TestTruncate:
         with pytest.raises(ValidationError):
             truncate(identity_channel(3), 4, basis_state(3, 0))
 
+    @pytest.mark.parametrize("rank", [2.7, 2.0, "2", True, np.float64(2.0), None])
+    def test_non_integer_rank_rejected(self, rank):
+        with pytest.raises(ValidationError, match="truncation rank must be an integer"):
+            truncate(identity_channel(3), rank, basis_state(3, 0))
+
+    def test_numpy_integer_rank_accepted(self):
+        tau = basis_state(3, 0)
+        trunc = truncate(identity_channel(3), np.int64(2), tau)
+        assert np.array_equal(trunc.kraus_stack(), truncate(identity_channel(3), 2, tau).kraus_stack())
+
 
 class TestCqChannel:
     def test_orthogonal_outputs_is_classical(self):
