@@ -32,6 +32,7 @@ from .channels import apply, environment_output
 from .entropy import chi_through, entropy, mutual_information
 from .errors import ValidationError
 from .gaussian import (
+    attenuator_params,
     classify_gaussian,
     fock_attenuator,
     gaussian_mi_oracle,
@@ -177,7 +178,11 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             mean_photons = _flag(flags, spec, "mean_photons", 1.0)
             cutoff = _flag(flags, spec, "cutoff", 30, integer=True)
             oracle = gaussian_mi_oracle(spec.gaussian, thermal_gaussian_state(mean_photons))
-            eta = float(spec.gaussian.K[0, 0] ** 2)
+            k, alpha = spec.gaussian.K, spec.gaussian.alpha
+            eta = float(k[0, 0] ** 2)
+            loss = attenuator_params(eta) if k.shape == (2, 2) and 0.0 < eta <= 1.0 else None
+            if loss is None or max(np.abs(k - loss.K).max(), np.abs(alpha - loss.alpha).max()) > 1e-10:
+                raise ValidationError("the Fock cross-check covers only the single-mode pure-loss attenuator")
             fock_state, fock_channel = thermal_state(mean_photons, cutoff), fock_attenuator(eta, cutoff)
             fock = mutual_information(fock_state, fock_channel, route="entropies")
             cross = mutual_information(fock_state, fock_channel)

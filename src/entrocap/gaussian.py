@@ -1,5 +1,6 @@
-"""Bosonic Gaussian channel parameters, validity, classification, and a
-Fock-truncated single-mode attenuator with a covariance-matrix oracle.
+"""Bosonic Gaussian channel parameters, validity, classification, a
+covariance-matrix MI oracle for any valid channel on a thermal product
+input, and the Fock-truncated single-mode pure-loss attenuator.
 
 Conventions: the symplectic form is the block form [[0, 1], [-1, 0]] per
 mode and the vacuum covariance is I/2, so channel validity reads
@@ -17,6 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import ValidationError
+from .linalg import _is_integer
 
 __all__ = [
     "GaussianChannelParams",
@@ -41,11 +43,7 @@ def standard_symplectic_form(modes: int) -> np.ndarray:
     """Direct sum of [[0, 1], [-1, 0]] blocks."""
     if modes < 1:
         raise ValidationError("mode count must be positive")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * modes, 2 * modes))
-    for m in range(modes):
-        out[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = block
-    return out
+    return np.kron(np.eye(modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,7 @@ def thermal_gaussian_state(mean_photons: float) -> GaussianState:
 
 def mean_photon_entropy(n: float) -> float:
     """g(N) = (N+1) log2(N+1) - N log2 N, the thermal-state entropy in bits."""
-    if n < 0.0:
-        n = 0.0
-    if n < 1e-300:
+    if n < 1e-300:  # also clips a slightly negative n from rounding
         return 0.0
     return float((n + 1.0) * math.log2(n + 1.0) - n * math.log2(n))
 
@@ -233,9 +229,8 @@ def fock_attenuator(eta: float, cutoff: int) -> KrausChannel:
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"attenuation must satisfy 0 < eta < 1, got {eta}")
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise ValidationError("cutoff must be at least 2")
+    if not _is_integer(cutoff) or cutoff < 2:
+        raise ValidationError(f"cutoff must be an integer >= 2, got {cutoff!r}")
     dim = cutoff + 1
     ops = np.zeros((dim, dim, dim))  # (ell, m, n)
     for n in range(dim):
@@ -251,77 +246,50 @@ def thermal_state(mean_photons: float, cutoff: int) -> np.ndarray:
     """Truncated and renormalized thermal state diag((N/(N+1))^n)."""
     if not 0.0 <= mean_photons < math.inf:
         raise ValidationError(f"mean photon number must be finite and nonnegative, got {mean_photons!r}")
-    cutoff = int(cutoff)
-    n = np.arange(cutoff + 1, dtype=float)
-    if mean_photons == 0.0:
-        probs = np.zeros(cutoff + 1)
-        probs[0] = 1.0
-    else:
-        ratio = mean_photons / (mean_photons + 1.0)
-        probs = ratio**n
-        probs /= probs.sum()
+    if not _is_integer(cutoff) or cutoff < 0:
+        raise ValidationError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    # at N = 0 the ratio is 0 and 0.0**0 = 1, so this is the vacuum
+    probs = (mean_photons / (mean_photons + 1.0)) ** np.arange(cutoff + 1, dtype=float)
+    probs /= probs.sum()
     return np.diag(probs).astype(complex)
 
 
 def number_operator(cutoff: int) -> np.ndarray:
     """Photon-number observable diag(0, 1, ..., cutoff)."""
-    return np.diag(np.arange(int(cutoff) + 1, dtype=float)).astype(complex)
+    if not _is_integer(cutoff) or cutoff < 0:
+        raise ValidationError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
 
 
-def _attenuator_form(params: GaussianChannelParams):
-    """Extract (eta, env_photons) or raise for non-attenuator parameters."""
-    if params.space_in.dim != 2 or params.space_out.dim != 2:
-        raise ValidationError("oracle supports single-mode channels only")
-    check = validate_gaussian(params)
-    if not check["valid"]:
-        raise ValidationError("invalid Gaussian channel parameters")
-    k = params.K
-    if abs(k[0, 0] - k[1, 1]) > 1e-10 or abs(k[0, 1]) > 1e-10 or abs(k[1, 0]) > 1e-10:
-        raise ValidationError("oracle supports attenuator form K = sqrt(eta) I only")
-    scale = k[0, 0]
-    if not 0.0 < scale <= 1.0 + 1e-12:
-        raise ValidationError("attenuator form requires 0 < sqrt(eta) <= 1")
-    eta = min(scale * scale, 1.0)
-    a = params.alpha
-    if abs(a[0, 0] - a[1, 1]) > 1e-10 or abs(a[0, 1]) > 1e-10:
-        raise ValidationError("oracle supports isotropic alpha only")
-    if eta >= 1.0 - 1e-14:
-        return 1.0, 0.0
-    env = (2.0 * a[0, 0] / (1.0 - eta) - 1.0) / 2.0
-    if env < -1e-9:
-        raise ValidationError("alpha below the attenuator family")
-    return eta, max(env, 0.0)
+def _entropy_bits(cov) -> float:
+    """Von Neumann entropy of a Gaussian state: the sum of g(nu - 1/2) over its symplectic spectrum."""
+    return sum(mean_photon_entropy(nu - 0.5) for nu in symplectic_eigenvalues(cov))
 
 
 def gaussian_mi_oracle(params: GaussianChannelParams, state: GaussianState) -> float:
-    """Mutual information of an attenuator on a thermal input, in bits.
+    """Mutual information of a Gaussian channel on a thermal product input, in bits.
 
-    Covariance-matrix evaluation: the input and channel-output entropies come
-    from single-mode symplectic eigenvalues; the environment side of the
-    dilation (beamsplitter against a purified thermal mode) contributes the
-    entropy of its full output covariance.  For a vacuum environment this is
-    ``g(N) + g(eta N) - g((1-eta) N)``.
+    Accepts any valid (K, alpha) between standard symplectic spaces and an
+    input of thermal modes, as many as the channel takes; anything else is a
+    ValidationError.  I = S(A) + S(B) - S(BR): A is the input V with thermal
+    variances nu, B the output ``K^T V K + alpha``, BR the output joined to
+    the purifying reference (cross block ``K^T (diag sqrt(nu^2 - 1/4) (x) Z)``,
+    Z = diag(1, -1); reference block V), which has the environment's entropy,
+    so no dilation is built.  Pure loss gives ``g(N) + g(eta N) - g((1-eta) N)``.
     """
-    eta, env = _attenuator_form(params)
-    if state.modes != 1:
-        raise ValidationError("oracle supports single-mode inputs only")
+    if not validate_gaussian(params)["valid"]:
+        raise ValidationError("invalid Gaussian channel parameters")
+    for space in (params.space_in, params.space_out):
+        if not np.array_equal(space.form, standard_symplectic_form(space.modes)):
+            raise ValidationError("oracle supports the standard symplectic form only")
+    if state.modes != params.space_in.modes:
+        raise ValidationError(f"input mode count {state.modes} differs from the channel's {params.space_in.modes}")
     cov = state.cov
-    if abs(cov[0, 0] - cov[1, 1]) > 1e-10 or abs(cov[0, 1]) > 1e-10:
-        raise ValidationError("oracle supports thermal inputs only")
-    v_in = cov[0, 0]
-    n_in = max(v_in - 0.5, 0.0)
-
-    v_out = eta * v_in + (1.0 - eta) * (2.0 * env + 1.0) / 2.0
-    n_out = max(v_out - 0.5, 0.0)
-
-    w = (2.0 * env + 1.0) / 2.0
-    c = math.sqrt(env * (env + 1.0))
-    zmat = np.diag([1.0, -1.0])
-    env_cov = np.zeros((4, 4))
-    env_cov[:2, :2] = ((1.0 - eta) * v_in + eta * w) * np.eye(2)
-    env_cov[2:, 2:] = w * np.eye(2)
-    env_cov[:2, 2:] = math.sqrt(eta) * c * zmat
-    env_cov[2:, :2] = math.sqrt(eta) * c * zmat
-    h_env = sum(mean_photon_entropy(max(nu - 0.5, 0.0)) for nu in symplectic_eigenvalues(env_cov))
-
-    return mean_photon_entropy(n_in) + mean_photon_entropy(n_out) - h_env
+    nus = np.diag(cov)[::2]
+    if np.abs(cov - np.diag(np.repeat(nus, 2))).max() > 1e-10:
+        raise ValidationError("oracle supports thermal product inputs only")
+    # the clip absorbs a vacuum variance that passed the uncertainty check just below 1/2
+    cross = params.K.T @ np.kron(np.diag(np.sqrt(np.maximum(nus**2 - 0.25, 0.0))), np.diag([1.0, -1.0]))
+    out = params.K.T @ cov @ params.K + params.alpha
+    joint = np.block([[out, cross], [cross.T, cov]])
+    return sum(mean_photon_entropy(nu - 0.5) for nu in nus) + _entropy_bits(out) - _entropy_bits(joint)

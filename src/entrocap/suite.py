@@ -355,19 +355,14 @@ def check_classify_invariance(seed=0, count=50):
 
 
 def check_attenuator_family_validity(seed=0):
+    space = ga.SymplecticSpace.standard(1)
     for eta in (0.3, 0.6, 0.9):
-        for n_env in (0.0, 0.5, 2.0):
+        for n_env, valid in ((0.0, True), (0.5, True), (2.0, True), (-0.05, False), (-0.5, False)):
             alpha = (1.0 - eta) * (2.0 * n_env + 1.0) / 2.0 * np.eye(2)
-            space = ga.SymplecticSpace.standard(1)
             params = ga.GaussianChannelParams(math.sqrt(eta) * np.eye(2), np.zeros(2), alpha, space, space)
-            if not ga.validate_gaussian(params)["valid"]:
-                return False, f"valid attenuator rejected (eta={eta}, N_E={n_env})"
-        for n_env in (-0.05, -0.5):
-            alpha = (1.0 - eta) * (2.0 * n_env + 1.0) / 2.0 * np.eye(2)
-            space = ga.SymplecticSpace.standard(1)
-            params = ga.GaussianChannelParams(math.sqrt(eta) * np.eye(2), np.zeros(2), alpha, space, space)
-            if ga.validate_gaussian(params)["valid"]:
-                return False, f"invalid attenuator accepted (eta={eta}, N_E={n_env})"
+            if ga.validate_gaussian(params)["valid"] != valid:
+                verdict = "valid attenuator rejected" if valid else "invalid attenuator accepted"
+                return False, f"{verdict} (eta={eta}, N_E={n_env})"
     return True, "attenuator family accepted exactly for N_E >= 0"
 
 

@@ -12,6 +12,7 @@ import entrocap
 
 from entrocap import (
     GaussianChannelParams,
+    GaussianState,
     SymplecticSpace,
     ValidationError,
     apply,
@@ -109,6 +110,13 @@ class TestSymplectics:
         s = random_symplectic(4, seed=3)
         assert np.abs(s.T @ delta @ s - delta).max() <= 1e-8
 
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_standard_form_is_the_block_direct_sum(self, modes):
+        reference = np.zeros((2 * modes, 2 * modes))
+        for m in range(modes):
+            reference[2 * m, 2 * m + 1], reference[2 * m + 1, 2 * m] = 1.0, -1.0
+        assert np.array_equal(standard_symplectic_form(modes), reference)
+
     def test_symplectic_eigenvalues_thermal(self):
         cov = np.diag([0.9, 0.9, 0.5, 0.5])
         nus = symplectic_eigenvalues(cov)
@@ -178,6 +186,7 @@ class TestThermal:
     def test_vacuum(self):
         th = thermal_state(0.0, 10)
         assert abs(th[0, 0] - 1.0) <= 1e-14
+        assert np.array_equal(thermal_state(0.0, 3), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
     def test_mean_photons_with_tail_bound(self):
         for n, cut in ((0.5, 25), (1.0, 40), (2.0, 60)):
@@ -193,6 +202,31 @@ class TestThermal:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValidationError):
             thermal_state(-0.2, 10)
+
+    @pytest.mark.parametrize(
+        "builder, cutoff",
+        [
+            ("thermal_state", -1),
+            ("thermal_state", 2.7),
+            ("thermal_state", True),
+            ("number_operator", -3),
+            ("number_operator", 2.7),
+            ("fock_attenuator", 2.7),
+            ("fock_attenuator", 1),
+        ],
+    )
+    def test_cutoff_must_be_an_integer_in_range(self, builder, cutoff):
+        build = {
+            "thermal_state": lambda c: thermal_state(1.0, c),
+            "number_operator": number_operator,
+            "fock_attenuator": lambda c: fock_attenuator(0.6, c),
+        }[builder]
+        with pytest.raises(ValidationError, match="cutoff"):
+            build(cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        assert thermal_state(1.0, np.int64(3)).shape == (4, 4)
+        assert number_operator(np.int64(0)).shape == (1, 1)
 
 
 class TestOracle:
@@ -213,10 +247,49 @@ class TestOracle:
     def test_vacuum_input(self):
         assert abs(gaussian_mi_oracle(attenuator_params(0.6), thermal_gaussian_state(0.0))) <= 1e-12
 
-    def test_unsupported_form_rejected(self):
-        squeezer = params(np.diag([1.2, 1.0 / 1.2]), np.eye(2))
-        with pytest.raises(ValidationError):
-            gaussian_mi_oracle(squeezer, thermal_gaussian_state(1.0))
+    @pytest.mark.parametrize("gain", [1.5, 2.0, 4.0])
+    def test_amplifier_closed_form(self, gain):
+        amplifier = params(math.sqrt(gain) * np.eye(2), (gain - 1.0) / 2.0 * np.eye(2))
+        for n in (0.0, 0.5, 1.0, 5.0):
+            val = gaussian_mi_oracle(amplifier, thermal_gaussian_state(n))
+            g = mean_photon_entropy
+            assert abs(val - (g(n) + g(gain * n + gain - 1.0) - g((gain - 1.0) * (n + 1.0)))) <= 1e-12
+
+    def test_thermal_noise_attenuator_value(self):
+        val = gaussian_mi_oracle(attenuator_params(0.6, 0.5), thermal_gaussian_state(1.0))
+        assert abs(val - 1.5000841337191382) <= 1e-12
+
+    def test_two_mode_product_adds(self):
+        first, second = attenuator_params(0.6, 0.5), params(math.sqrt(2.0) * np.eye(2), 0.5 * np.eye(2))
+        space = SymplecticSpace.standard(2)
+        k = np.zeros((4, 4))
+        k[:2, :2], k[2:, 2:] = first.K, second.K
+        alpha = np.zeros((4, 4))
+        alpha[:2, :2], alpha[2:, 2:] = first.alpha, second.alpha
+        product = GaussianChannelParams(k, np.zeros(4), alpha, space, space)
+        state = GaussianState(np.zeros(4), np.diag([1.5, 1.5, 0.75, 0.75]))
+        val = gaussian_mi_oracle(product, state)
+        parts = gaussian_mi_oracle(first, thermal_gaussian_state(1.0)) + gaussian_mi_oracle(
+            second, thermal_gaussian_state(0.25)
+        )
+        assert abs(val - parts) <= 1e-12
+
+    def test_squeezed_input_rejected(self):
+        squeezed = GaussianState(np.zeros(2), np.diag([1.0, 0.25]))
+        with pytest.raises(ValidationError, match="thermal"):
+            gaussian_mi_oracle(attenuator_params(0.6), squeezed)
+
+    def test_mode_mismatch_rejected(self):
+        two_mode = GaussianState(np.zeros(4), 0.5 * np.eye(4))
+        with pytest.raises(ValidationError, match="mode count"):
+            gaussian_mi_oracle(attenuator_params(0.6), two_mode)
+
+    def test_nonstandard_form_rejected(self):
+        space = SymplecticSpace(2, 2.0 * standard_symplectic_form(1))
+        scaled = GaussianChannelParams(np.eye(2), np.zeros(2), np.eye(2), space, space)
+        assert validate_gaussian(scaled)["valid"]
+        with pytest.raises(ValidationError, match="standard symplectic form"):
+            gaussian_mi_oracle(scaled, thermal_gaussian_state(1.0))
 
     def test_fock_truncation_converges(self):
         oracle = gaussian_mi_oracle(attenuator_params(0.6), thermal_gaussian_state(0.5))

@@ -151,6 +151,23 @@ class TestCliCommands:
         assert abs(res["fock_relative_entropy_route_bits"] - res["fock_bits"]) == res["route_discrepancy_bits"]
         assert res["route_discrepancy_bits"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "k, alpha",
+        [
+            (math.sqrt(0.6), 0.4 * (2 * 0.5 + 1) / 2),  # eta = 0.6 with 0.5 thermal environment photons
+            (math.sqrt(2.0), 0.5),  # quantum-limited amplifier, gain 2
+        ],
+        ids=["thermal_environment", "amplifier"],
+    )
+    def test_gaussian_mi_refuses_fock_check_beyond_pure_loss(self, tmp_path, capsys, k, alpha):
+        # the oracle accepts these channels, but the Fock side is the pure-loss attenuator
+        with open(f"{SPECS}/gaussian_attenuator.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payload"]["K"] = (k * np.eye(2)).tolist()
+        doc["payload"]["alpha"] = (alpha * np.eye(2)).tolist()
+        assert main(["mi", write_spec(tmp_path, doc)]) == 3
+        assert "pure-loss attenuator" in capsys.readouterr().err
+
     def test_gaussian_classify_fully_depolarizing(self, tmp_path):
         doc = {
             "schema_version": 1,
