@@ -25,6 +25,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     QuantumOperation,
+    _output_and_environment,
     complementary,
     dual_apply,
     dual_environment,
@@ -306,8 +307,7 @@ def mutual_information_value(channel: KrausChannel, rho) -> float:
 
 def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
     """Gradient of the mutual information in bits; ``log2_rho`` replaces the floored ``log2 rho``."""
-    tmp, conj = channel.kraus_stack() @ rho, channel.kraus_stack().conj()  # not _output_and_environment: ROADMAP 6
-    out, env = np.tensordot(tmp, conj, axes=([0, 2], [0, 2])), np.tensordot(tmp, conj, axes=([1, 2], [1, 2]))
+    out, env = _output_and_environment(channel, rho)
     grad = (
         -(hermitian_log2(rho) if log2_rho is None else log2_rho)
         - dual_apply(channel, hermitian_log2(out))

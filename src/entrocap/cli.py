@@ -6,7 +6,8 @@ machine-readable JSON report (stable schema, no volatile fields, so output
 is byte-identical under fixed seed and flags).
 
 Exit codes: 0 success (including flagged non-convergence), 2 spec parse
-failure or an unwritable ``--report`` path, 3 invariant violation.
+failure or an unwritable ``--report`` path, 3 invariant violation or a
+problem over a size limit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .capacity import (
 )
 from .channels import apply, environment_output
 from .entropy import chi_through, entropy, mutual_information
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .gaussian import (
     attenuator_params,
     classify_gaussian,
@@ -183,7 +184,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             loss = attenuator_params(eta) if k.shape == (2, 2) and 0.0 < eta <= 1.0 else None
             if loss is None or max(np.abs(k - loss.K).max(), np.abs(alpha - loss.alpha).max()) > 1e-10:
                 raise ValidationError("the Fock cross-check covers only the single-mode pure-loss attenuator")
-            fock_state, fock_channel = thermal_state(mean_photons, cutoff), fock_attenuator(eta, cutoff)
+            fock_channel, fock_state = fock_attenuator(eta, cutoff), thermal_state(mean_photons, cutoff)
             fock = mutual_information(fock_state, fock_channel, route="entropies")
             cross = mutual_information(fock_state, fock_channel)
             results = {
@@ -362,6 +363,9 @@ def main(argv=None) -> int:
         return 2
     except ValidationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     print(human)
     if args.report:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .linalg import _is_integer
 
 __all__ = [
@@ -220,6 +220,19 @@ def mean_photon_entropy(n: float) -> float:
     return float((n + 1.0) * math.log2(n + 1.0) - n * math.log2(n))
 
 
+_FOCK_ENTRIES = 2**24  # dense entries one Fock builder may allocate: cutoff <= 255 (attenuator), <= 4095 (state)
+
+
+def _fock_dim(cutoff, least: int, power: int) -> int:
+    """``cutoff + 1`` for an integer cutoff >= ``least`` whose dense ``(cutoff + 1)**power`` array fits the limit."""
+    if not _is_integer(cutoff) or cutoff < least:
+        raise ValidationError(f"cutoff must be an integer >= {least}, got {cutoff!r}")
+    dim = int(cutoff) + 1  # a Python int: dim**power must not wrap
+    if dim**power > _FOCK_ENTRIES:
+        raise ResourceLimitError(f"cutoff {cutoff} needs {dim**power} dense entries, over the limit of {_FOCK_ENTRIES}")
+    return dim
+
+
 def fock_attenuator(eta: float, cutoff: int) -> KrausChannel:
     """Pure-loss channel on the Fock space truncated at ``cutoff`` photons.
 
@@ -229,9 +242,7 @@ def fock_attenuator(eta: float, cutoff: int) -> KrausChannel:
     """
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"attenuation must satisfy 0 < eta < 1, got {eta}")
-    if not _is_integer(cutoff) or cutoff < 2:
-        raise ValidationError(f"cutoff must be an integer >= 2, got {cutoff!r}")
-    dim = cutoff + 1
+    dim = _fock_dim(cutoff, 2, 3)
     ops = np.zeros((dim, dim, dim))  # (ell, m, n)
     for n in range(dim):
         for ell in range(n + 1):
@@ -246,19 +257,16 @@ def thermal_state(mean_photons: float, cutoff: int) -> np.ndarray:
     """Truncated and renormalized thermal state diag((N/(N+1))^n)."""
     if not 0.0 <= mean_photons < math.inf:
         raise ValidationError(f"mean photon number must be finite and nonnegative, got {mean_photons!r}")
-    if not _is_integer(cutoff) or cutoff < 0:
-        raise ValidationError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    dim = _fock_dim(cutoff, 0, 2)
     # at N = 0 the ratio is 0 and 0.0**0 = 1, so this is the vacuum
-    probs = (mean_photons / (mean_photons + 1.0)) ** np.arange(cutoff + 1, dtype=float)
+    probs = (mean_photons / (mean_photons + 1.0)) ** np.arange(dim, dtype=float)
     probs /= probs.sum()
     return np.diag(probs).astype(complex)
 
 
 def number_operator(cutoff: int) -> np.ndarray:
     """Photon-number observable diag(0, 1, ..., cutoff)."""
-    if not _is_integer(cutoff) or cutoff < 0:
-        raise ValidationError(f"cutoff must be an integer >= 0, got {cutoff!r}")
-    return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
+    return np.diag(np.arange(_fock_dim(cutoff, 0, 2), dtype=float)).astype(complex)
 
 
 def _entropy_bits(cov) -> float:

@@ -2,7 +2,9 @@
 
 Each check returns ``(ok, detail)``; the registry drives both the CLI
 ``suite`` command and parts of the test suite.  Counts are sized so the full
-sweep stays in the minutes range on a laptop.
+sweep stays in the minutes range on a laptop.  Most properties are one
+residual function plus one ``PROPERTIES`` row: :func:`_worst_of` turns the
+residual into a check on its worst value over seeded draws.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from .entropy import (
     mutual_information,
     pure_state_ensemble,
 )
+from .errors import ValidationError
 
 __all__ = ["PROPERTIES", "run_suite"]
+
+
+def _draw(rng) -> int:
+    return int(rng.integers(0, 2**31))
 
 
 def _random_channel(rng, d_in=None, d_out=None, rank=None):
@@ -34,7 +41,22 @@ def _random_channel(rng, d_in=None, d_out=None, rank=None):
     min_rank = max(1, math.ceil(d_in / d_out))
     rank = rank or int(rng.integers(min_rank, 5))
     rank = max(rank, min_rank)
-    return ch.sample_channel(d_in, d_out, rank, seed=int(rng.integers(0, 2**31)))
+    return ch.sample_channel(d_in, d_out, rank, seed=_draw(rng))
+
+
+def _worst_of(residual, count: int, tol: str, label: str):
+    """A check that passes when the largest of ``count`` residuals is at most ``tol``.
+
+    ``residual(rng, seed, k)`` draws instance k from the shared ``rng`` or from ``seed``; a residual may be
+    signed, and a NaN one fails.  ``tol`` is the tolerance as the detail prints it; ``label`` may use
+    ``{count}``."""
+
+    def check(seed=0):
+        rng = np.random.default_rng(seed)
+        worst = float(np.max([residual(rng, seed, k) for k in range(count)]))
+        return worst <= float(tol), f"{label.format(count=count)} {worst:.2e} (tol {tol})"
+
+    return check
 
 
 def check_sampled_states(seed=0, count=50):
@@ -44,101 +66,67 @@ def check_sampled_states(seed=0, count=50):
     return True, f"{count} sampled states satisfy the state invariants"
 
 
-def check_partial_trace_tensor(seed=0, count=30):
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        a = la.sample_state(da, seed=int(rng.integers(0, 2**31)))
-        b = la.sample_state(db, seed=int(rng.integers(0, 2**31)))
-        joint = la.tensor(a, b)
-        worst = max(worst, float(np.abs(la.partial_trace(joint, (da, db), (0,)) - a).max()))
-        worst = max(worst, float(np.abs(la.partial_trace(joint, (da, db), (1,)) - b).max()))
-    return worst <= 1e-10, f"max factor-recovery residual {worst:.2e} (tol 1e-10)"
+def _factor_recovery(rng, seed, k):
+    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    a = la.sample_state(da, seed=_draw(rng))
+    b = la.sample_state(db, seed=_draw(rng))
+    joint = la.tensor(a, b)
+    return max(
+        float(np.abs(la.partial_trace(joint, (da, db), (0,)) - a).max()),
+        float(np.abs(la.partial_trace(joint, (da, db), (1,)) - b).max()),
+    )
 
 
-def check_purify_inverse(seed=0, count=30):
-    worst = 0.0
-    for k in range(count):
-        d = 2 + k % 4
-        rho = la.sample_state(d, rank=1 + k % d, seed=seed + 17 * k)
-        phi = la.purify(rho)
-        back = la.partial_trace(phi.projector(), (d, d), (0,))
-        worst = max(worst, float(np.abs(back - rho).max()))
-    return worst <= 1e-9, f"max purification round-trip residual {worst:.2e} (tol 1e-9)"
+def _purify_round_trip(rng, seed, k):
+    d = 2 + k % 4
+    rho = la.sample_state(d, rank=1 + k % d, seed=seed + 17 * k)
+    back = la.partial_trace(la.purify(rho).projector(), (d, d), (0,))
+    return float(np.abs(back - rho).max())
 
 
-def check_eig_trace(seed=0, count=30):
-    worst = 0.0
-    for k in range(count):
-        d = 2 + k % 5
-        h = la.sample_hermitian(d, seed=seed + k)
-        w, u = la.hermitian_eig(h)
-        worst = max(worst, abs(float(w.sum()) - float(np.trace(h).real)) / d)
-        worst = max(worst, float(np.abs((u * w) @ u.conj().T - h).max()))
-    return worst <= 1e-9, f"max spectral residual {worst:.2e} (tol 1e-9)"
+def _spectral_residual(rng, seed, k):
+    d = 2 + k % 5
+    h = la.sample_hermitian(d, seed=seed + k)
+    w, u = la.hermitian_eig(h)
+    trace_gap = abs(float(w.sum()) - float(np.trace(h).real)) / d
+    return max(trace_gap, float(np.abs((u * w) @ u.conj().T - h).max()))
 
 
-def check_trace_preservation(seed=0, count=100):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng)
-        rho = la.sample_state(phi.dim_in, seed=int(rng.integers(0, 2**31)))
-        worst = max(worst, abs(float(np.trace(ch.apply(phi, rho)).real) - 1.0))
-    return worst <= 1e-9, f"max trace drift over {count} pairs {worst:.2e} (tol 1e-9)"
+def _trace_drift(rng, seed, k):
+    phi = _random_channel(rng)
+    rho = la.sample_state(phi.dim_in, seed=_draw(rng))
+    return abs(float(np.trace(ch.apply(phi, rho)).real) - 1.0)
 
 
-def check_heisenberg_duality(seed=0, count=100):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng)
-        rho = la.sample_state(phi.dim_in, seed=int(rng.integers(0, 2**31)))
-        obs = la.sample_hermitian(phi.dim_out, seed=int(rng.integers(0, 2**31)))
-        lhs = complex(np.trace(ch.apply(phi, rho) @ obs))
-        rhs = complex(np.trace(rho @ ch.dual_apply(phi, obs)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-9, f"max duality residual {worst:.2e} (tol 1e-9)"
+def _duality_residual(rng, seed, k):
+    phi = _random_channel(rng)
+    rho = la.sample_state(phi.dim_in, seed=_draw(rng))
+    obs = la.sample_hermitian(phi.dim_out, seed=_draw(rng))
+    lhs = complex(np.trace(ch.apply(phi, rho) @ obs))
+    return abs(lhs - complex(np.trace(rho @ ch.dual_apply(phi, obs))))
 
 
-def _padded_spectrum(mat, size):
-    w = np.clip(np.linalg.eigvalsh(mat)[::-1], 0.0, None)
-    out = np.zeros(size)
-    out[: min(w.size, size)] = w[:size]
-    return out
+def _spectrum_gap(a, b) -> float:
+    """Largest difference of the descending, zero-padded spectra of two PSD matrices."""
+    size = max(a.shape[0], b.shape[0])
+    wa, wb = (np.pad(np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None), (0, size - m.shape[0])) for m in (a, b))
+    return float(np.abs(wa - wb).max())
 
 
-def check_double_complement(seed=0, count=40):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng)
-        rho = la.sample_state(phi.dim_in, seed=int(rng.integers(0, 2**31)))
-        back = ch.complementary(ch.complementary(phi))
-        a = ch.apply(phi, rho)
-        b = ch.apply(back, rho)
-        size = max(a.shape[0], b.shape[0])
-        worst = max(worst, float(np.abs(_padded_spectrum(a, size) - _padded_spectrum(b, size)).max()))
-    return worst <= 1e-8, f"max double-complement spectrum drift {worst:.2e} (tol 1e-8)"
+def _double_complement(rng, seed, k):
+    phi = _random_channel(rng)
+    rho = la.sample_state(phi.dim_in, seed=_draw(rng))
+    return _spectrum_gap(ch.apply(phi, rho), ch.apply(ch.complementary(ch.complementary(phi)), rho))
 
 
-def check_pure_schmidt(seed=0, count=40):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng)
-        vec = la.sample_pure(phi.dim_in, seed=int(rng.integers(0, 2**31))).vec
-        rho = np.outer(vec, vec.conj())
-        a = ch.apply(phi, rho)
-        b = ch.environment_output(phi, rho)
-        size = max(a.shape[0], b.shape[0])
-        worst = max(worst, float(np.abs(_padded_spectrum(a, size) - _padded_spectrum(b, size)).max()))
-    return worst <= 1e-8, f"max output/environment spectrum mismatch {worst:.2e} (tol 1e-8)"
+def _pure_input_mismatch(rng, seed, k):
+    phi = _random_channel(rng)
+    vec = la.sample_pure(phi.dim_in, seed=_draw(rng)).vec
+    rho = np.outer(vec, vec.conj())
+    return _spectrum_gap(ch.apply(phi, rho), ch.environment_output(phi, rho))
 
 
 def check_cq_detection(seed=0, count=15):
-    rng = np.random.default_rng(seed)
     for k in range(count):
         sigmas = [la.sample_state(3, seed=seed + 100 * k + j) for j in range(3)]
         verdict = ch.is_cq(ch.cq_channel(sigmas))
@@ -151,58 +139,38 @@ def check_cq_detection(seed=0, count=15):
     return True, f"{count} cq / {count} unitary channels classified correctly"
 
 
-def check_mi_routes(seed=0, count=60):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng, d_in=int(rng.integers(2, 5)), d_out=int(rng.integers(2, 5)))
-        rho = la.sample_state(phi.dim_in, rank=int(rng.integers(1, phi.dim_in + 1)), seed=int(rng.integers(0, 2**31)))
-        worst = max(
-            worst,
-            abs(mutual_information(rho, phi) - mutual_information(rho, phi, route="entropies")),
-        )
-    return worst <= 1e-8, f"max route discrepancy over {count} pairs {worst:.2e} (tol 1e-8)"
+def _route_discrepancy(rng, seed, k):
+    phi = _random_channel(rng, d_in=int(rng.integers(2, 5)), d_out=int(rng.integers(2, 5)))
+    rho = la.sample_state(phi.dim_in, rank=int(rng.integers(1, phi.dim_in + 1)), seed=_draw(rng))
+    return abs(mutual_information(rho, phi) - mutual_information(rho, phi, route="entropies"))
 
 
-def check_fixed_marginal_bound(seed=0, count=50):
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(count):
-        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        omega = la.sample_state(da * db, seed=int(rng.integers(0, 2**31)))
-        n_enc = int(rng.integers(2, 5))
-        encs = [_random_channel(rng, d_in=da, d_out=da) for _ in range(n_enc)]
-        weights = rng.dirichlet(np.ones(n_enc))
-        mu = fixed_marginal_ensemble(omega, encs, weights, (da, db))
-        phi = _random_channel(rng, d_in=da, d_out=int(rng.integers(2, 4)))
-        big = ch.tensor_channel(phi, ch.identity_channel(db))
-        avg = mu.barycenter()
-        bound = mutual_information(la.partial_trace(avg, (da, db), (0,)), phi)
-        worst = max(worst, chi_through(big, mu) - bound)
-    return worst <= 1e-8, f"max chi - mi excess {worst:.2e} (tol 1e-8)"
+def _fixed_marginal_excess(rng, seed, k):
+    da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    omega = la.sample_state(da * db, seed=_draw(rng))
+    n_enc = int(rng.integers(2, 5))
+    encs = [_random_channel(rng, d_in=da, d_out=da) for _ in range(n_enc)]
+    weights = rng.dirichlet(np.ones(n_enc))
+    mu = fixed_marginal_ensemble(omega, encs, weights, (da, db))
+    phi = _random_channel(rng, d_in=da, d_out=int(rng.integers(2, 4)))
+    big = ch.tensor_channel(phi, ch.identity_channel(db))
+    bound = mutual_information(la.partial_trace(mu.barycenter(), (da, db), (0,)), phi)
+    return chi_through(big, mu) - bound
 
 
-def check_conditional_monotonicity(seed=0, count=60):
-    worst = -math.inf
-    for k in range(count):
-        dims = (2, 2, 2) if k % 2 else (2, 3, 2)
-        rho = la.sample_state(int(np.prod(dims)), seed=seed + k)
-        hab = conditional_entropy(rho, dims, sys=(0,), cond=(1,))
-        habc = conditional_entropy(rho, dims, sys=(0,), cond=(1, 2))
-        worst = max(worst, habc - hab)
-    return worst <= 1e-8, f"max H(A|BC) - H(A|B) excess {worst:.2e} (tol 1e-8)"
+def _monotonicity_excess(rng, seed, k):
+    dims = (2, 2, 2) if k % 2 else (2, 3, 2)
+    rho = la.sample_state(int(np.prod(dims)), seed=seed + k)
+    habc = conditional_entropy(rho, dims, sys=(0,), cond=(1, 2))
+    return habc - conditional_entropy(rho, dims, sys=(0,), cond=(1,))
 
 
-def check_conditional_duality(seed=0, count=60):
-    worst = 0.0
-    for k in range(count):
-        dims = (2, 2, 2) if k % 2 else (2, 3, 2)
-        vec = la.sample_pure(int(np.prod(dims)), seed=seed + k).vec
-        rho = np.outer(vec, vec.conj())
-        hab = conditional_entropy(rho, dims, sys=(0,), cond=(1,))
-        hac = conditional_entropy(rho, dims, sys=(0,), cond=(2,))
-        worst = max(worst, abs(hab + hac))
-    return worst <= 1e-8, f"max |H(A|B) + H(A|C)| on pure states {worst:.2e} (tol 1e-8)"
+def _conditional_duality(rng, seed, k):
+    dims = (2, 2, 2) if k % 2 else (2, 3, 2)
+    vec = la.sample_pure(int(np.prod(dims)), seed=seed + k).vec
+    rho = np.outer(vec, vec.conj())
+    hab = conditional_entropy(rho, dims, sys=(0,), cond=(1,))
+    return abs(hab + conditional_entropy(rho, dims, sys=(0,), cond=(2,)))
 
 
 def _random_pure_ensemble(rng, dim, members):
@@ -214,43 +182,29 @@ def _random_pure_ensemble(rng, dim, members):
     return pure_state_ensemble(weights, vecs)
 
 
-def check_pure_ensemble_identity(seed=0, count=60):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng)
-        mu = _random_pure_ensemble(rng, phi.dim_in, int(rng.integers(2, 9)))
-        avg = mu.barycenter()
-        lhs = chi_through(phi, mu) - chi_through(ch.complementary(phi), mu)
-        rhs = coherent_information(avg, phi)
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-8, f"max ensemble-difference identity residual {worst:.2e} (tol 1e-8)"
+def _ensemble_identity(rng, seed, k):
+    phi = _random_channel(rng)
+    mu = _random_pure_ensemble(rng, phi.dim_in, int(rng.integers(2, 9)))
+    lhs = chi_through(phi, mu) - chi_through(ch.complementary(phi), mu)
+    return abs(lhs - coherent_information(mu.barycenter(), phi))
 
 
-def check_mi_additivity(seed=0, count=25):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        p1 = _random_channel(rng, d_in=2, d_out=2)
-        p2 = _random_channel(rng, d_in=2, d_out=2)
-        r1 = la.sample_state(2, seed=int(rng.integers(0, 2**31)))
-        r2 = la.sample_state(2, seed=int(rng.integers(0, 2**31)))
-        joint = mutual_information(la.tensor(r1, r2), ch.tensor_channel(p1, p2), route="entropies")
-        split = mutual_information(r1, p1, route="entropies") + mutual_information(r2, p2, route="entropies")
-        worst = max(worst, abs(joint - split))
-    return worst <= 1e-8, f"max product-input additivity residual {worst:.2e} (tol 1e-8)"
+def _additivity_residual(rng, seed, k):
+    p1 = _random_channel(rng, d_in=2, d_out=2)
+    p2 = _random_channel(rng, d_in=2, d_out=2)
+    r1 = la.sample_state(2, seed=_draw(rng))
+    r2 = la.sample_state(2, seed=_draw(rng))
+    joint = mutual_information(la.tensor(r1, r2), ch.tensor_channel(p1, p2), route="entropies")
+    split = mutual_information(r1, p1, route="entropies") + mutual_information(r2, p2, route="entropies")
+    return abs(joint - split)
 
 
-def check_chi_data_processing(seed=0, count=30):
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(count):
-        phi = _random_channel(rng, d_in=3, d_out=3)
-        mu = _random_pure_ensemble(rng, 3, int(rng.integers(2, 7)))
-        tau = la.sample_state(3, seed=int(rng.integers(0, 2**31)))
-        n = int(rng.integers(1, 4))
-        worst = max(worst, chi_through(ch.truncate(phi, n, tau), mu) - chi_through(phi, mu))
-    return worst <= 1e-8, f"max data-processing excess {worst:.2e} (tol 1e-8)"
+def _data_processing_excess(rng, seed, k):
+    phi = _random_channel(rng, d_in=3, d_out=3)
+    mu = _random_pure_ensemble(rng, 3, int(rng.integers(2, 7)))
+    tau = la.sample_state(3, seed=_draw(rng))
+    n = int(rng.integers(1, 4))
+    return chi_through(ch.truncate(phi, n, tau), mu) - chi_through(phi, mu)
 
 
 def check_cea_feasible_ascent(seed=0):
@@ -282,31 +236,21 @@ def check_certificate_soundness(seed=0):
     return True, "closed-form optima inside certified brackets"
 
 
-def check_mi_chain_identity(seed=0, count=6):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        phi = _random_channel(rng, d_in=2, d_out=2)
-        con = cap.EnergyConstraint(np.eye(2), 1.0)
-        chi = cap.chi_capacity(phi, con, opts=cap.OptimizerOptions(max_iterations=80, restarts=1))
-        mu = chi.optimizer
-        avg = mu.barycenter()
-        lhs = mutual_information(avg, phi)
-        rhs = entropy(avg) + chi_through(phi, mu) - chi_through(ch.complementary(phi), mu)
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-8, f"max chain-identity residual at optimizer ensembles {worst:.2e} (tol 1e-8)"
+def _chain_residual(rng, seed, k):
+    phi = _random_channel(rng, d_in=2, d_out=2)
+    con = cap.EnergyConstraint(np.eye(2), 1.0)
+    mu = cap.chi_capacity(phi, con, opts=cap.OptimizerOptions(max_iterations=80, restarts=1)).optimizer
+    avg = mu.barycenter()
+    rhs = entropy(avg) + chi_through(phi, mu) - chi_through(ch.complementary(phi), mu)
+    return abs(mutual_information(avg, phi) - rhs)
 
 
-def check_cea_dominates_chi(seed=0, count=6):
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(count):
-        phi = _random_channel(rng, d_in=2, d_out=2)
-        con = cap.EnergyConstraint(np.diag([0.0, 1.0]), 0.7)
-        cea = cap.cea_capacity(phi, con, cap.OptimizerOptions(max_iterations=200))
-        chi = cap.chi_capacity(phi, con, opts=cap.OptimizerOptions(max_iterations=80, restarts=1))
-        worst = max(worst, chi.value - (cea.value + cea.gap))
-    return worst <= 1e-6, f"max chi excess over certified bracket {worst:.2e} (tol 1e-6)"
+def _chi_excess_over_cea(rng, seed, k):
+    phi = _random_channel(rng, d_in=2, d_out=2)
+    con = cap.EnergyConstraint(np.diag([0.0, 1.0]), 0.7)
+    cea = cap.cea_capacity(phi, con, cap.OptimizerOptions(max_iterations=200))
+    chi = cap.chi_capacity(phi, con, opts=cap.OptimizerOptions(max_iterations=80, restarts=1))
+    return chi.value - (cea.value + cea.gap)
 
 
 def check_attenuator_scaling(seed=0):
@@ -368,25 +312,25 @@ def check_attenuator_family_validity(seed=0):
 
 PROPERTIES = {
     "sampled-states-valid": check_sampled_states,
-    "partial-trace-tensor": check_partial_trace_tensor,
-    "purify-right-inverse": check_purify_inverse,
-    "eig-reconstruction": check_eig_trace,
-    "apply-trace-preserving": check_trace_preservation,
-    "heisenberg-duality": check_heisenberg_duality,
-    "double-complement-spectra": check_double_complement,
-    "pure-input-spectra": check_pure_schmidt,
+    "partial-trace-tensor": _worst_of(_factor_recovery, 30, "1e-10", "max factor-recovery residual"),
+    "purify-right-inverse": _worst_of(_purify_round_trip, 30, "1e-9", "max purification round-trip residual"),
+    "eig-reconstruction": _worst_of(_spectral_residual, 30, "1e-9", "max spectral residual"),
+    "apply-trace-preserving": _worst_of(_trace_drift, 100, "1e-9", "max trace drift over {count} pairs"),
+    "heisenberg-duality": _worst_of(_duality_residual, 100, "1e-9", "max duality residual"),
+    "double-complement-spectra": _worst_of(_double_complement, 40, "1e-8", "max double-complement spectrum drift"),
+    "pure-input-spectra": _worst_of(_pure_input_mismatch, 40, "1e-8", "max output/environment spectrum mismatch"),
     "cq-detection": check_cq_detection,
-    "mi-route-agreement": check_mi_routes,
-    "fixed-marginal-bound": check_fixed_marginal_bound,
-    "conditional-monotonicity": check_conditional_monotonicity,
-    "conditional-duality": check_conditional_duality,
-    "pure-ensemble-identity": check_pure_ensemble_identity,
-    "mi-product-additivity": check_mi_additivity,
-    "chi-data-processing": check_chi_data_processing,
+    "mi-route-agreement": _worst_of(_route_discrepancy, 60, "1e-8", "max route discrepancy over {count} pairs"),
+    "fixed-marginal-bound": _worst_of(_fixed_marginal_excess, 50, "1e-8", "max chi - mi excess"),
+    "conditional-monotonicity": _worst_of(_monotonicity_excess, 60, "1e-8", "max H(A|BC) - H(A|B) excess"),
+    "conditional-duality": _worst_of(_conditional_duality, 60, "1e-8", "max |H(A|B) + H(A|C)| on pure states"),
+    "pure-ensemble-identity": _worst_of(_ensemble_identity, 60, "1e-8", "max ensemble-difference identity residual"),
+    "mi-product-additivity": _worst_of(_additivity_residual, 25, "1e-8", "max product-input additivity residual"),
+    "chi-data-processing": _worst_of(_data_processing_excess, 30, "1e-8", "max data-processing excess"),
     "cea-feasible-ascent": check_cea_feasible_ascent,
     "certificate-soundness": check_certificate_soundness,
-    "mi-chain-identity": check_mi_chain_identity,
-    "cea-dominates-chi": check_cea_dominates_chi,
+    "mi-chain-identity": _worst_of(_chain_residual, 6, "1e-8", "max chain-identity residual at optimizer ensembles"),
+    "cea-dominates-chi": _worst_of(_chi_excess_over_cea, 6, "1e-6", "max chi excess over certified bracket"),
     "attenuator-photon-scaling": check_attenuator_scaling,
     "fock-oracle-agreement": check_fock_oracle_agreement,
     "classify-symplectic-invariance": check_classify_invariance,
@@ -395,7 +339,11 @@ PROPERTIES = {
 
 
 def run_suite(seed: int = 0, names=None) -> list:
-    """Run the registered property checks; returns [(name, ok, detail), ...]."""
+    """Run the registered property checks; returns [(name, ok, detail), ...].
+
+    A seed that is not an integer >= 0 raises ValidationError before any check runs."""
+    if not la._is_integer(seed) or seed < 0:
+        raise ValidationError(f"suite seed must be an integer >= 0, got {seed!r}")
     selected = PROPERTIES if names is None else {n: PROPERTIES[n] for n in names}
     results = []
     for name, fn in selected.items():

@@ -13,6 +13,7 @@ import entrocap
 from entrocap import (
     GaussianChannelParams,
     GaussianState,
+    ResourceLimitError,
     SymplecticSpace,
     ValidationError,
     apply,
@@ -227,6 +228,21 @@ class TestThermal:
     def test_numpy_integer_cutoff_accepted(self):
         assert thermal_state(1.0, np.int64(3)).shape == (4, 4)
         assert number_operator(np.int64(0)).shape == (1, 1)
+
+    def test_huge_attenuator_cutoff_refused_before_allocating(self):
+        with pytest.raises(ResourceLimitError, match="cutoff 2097152"):  # (2**21 + 1)**3 entries
+            fock_attenuator(0.6, 2**21)
+
+    @pytest.mark.parametrize(
+        "build, power",
+        [(lambda c: thermal_state(1.0, c), 2), (number_operator, 2), (lambda c: fock_attenuator(0.6, c), 3)],
+        ids=["thermal_state", "number_operator", "fock_attenuator"],
+    )
+    def test_dense_size_checked_against_the_limit(self, monkeypatch, build, power):
+        monkeypatch.setattr(entrocap.gaussian, "_FOCK_ENTRIES", 10**power)  # a small limit: nothing large is built
+        build(9)  # exactly at the limit
+        with pytest.raises(ResourceLimitError, match="cutoff 10"):
+            build(np.int64(10))
 
 
 class TestOracle:

@@ -469,6 +469,22 @@ class TestSuiteCommand:
         failures = [(name, detail) for name, ok, detail in results if not ok]
         assert not failures, failures
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_bad_seed_rejected_before_any_check(self, monkeypatch, seed):
+        import entrocap.suite as suite_mod
+
+        calls = []
+        monkeypatch.setattr(suite_mod, "PROPERTIES", {"spy": lambda seed=0: calls.append(seed) or (True, "ran")})
+        with pytest.raises(ValidationError, match="seed"):
+            suite_mod.run_suite(seed=seed)
+        assert calls == []
+
+    def test_negative_seed_is_an_invariant_violation_not_failed_checks(self, capsys):
+        assert main(["suite", "--seed", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err.startswith("invariant violation: suite seed must be an integer >= 0")
+
     def test_suite_failure_exits_nonzero(self, monkeypatch, capsys):
         import entrocap.suite as suite_mod
 
@@ -478,3 +494,18 @@ class TestSuiteCommand:
         assert main(["suite"]) == 3
         out = capsys.readouterr().out
         assert "FAIL always-fails" in out
+
+
+class TestResourceLimits:
+    def test_validate_refuses_a_huge_attenuator_cutoff(self, tmp_path, capsys):
+        params = {"eta": 0.6, "cutoff": 2**21}  # numpy refuses the (N+1)**3 shape at once
+        doc = {"schema_version": 1, "kind": "named", "payload": {"name": "attenuator", "params": params}}
+        assert main(["validate", write_spec(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: cutoff 2097152")
+
+    def test_mi_refuses_a_cutoff_over_the_limit(self, monkeypatch, capsys):
+        import entrocap.gaussian
+
+        monkeypatch.setattr(entrocap.gaussian, "_FOCK_ENTRIES", 20**3)  # a small limit: nothing large is built
+        assert main(["mi", f"{SPECS}/gaussian_attenuator.json", "--cutoff", "20"]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: cutoff 20")
