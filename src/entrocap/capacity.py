@@ -41,6 +41,7 @@ from .linalg import (
     LN2,
     _as_matrix,
     _eig,
+    _hermitian_part,
     _indices,
     _is_integer,
     _log2_from_eig,
@@ -230,10 +231,9 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     the search, which ends at adjacent floats like a bisection.
     """
     f, e = constraint.operator, constraint.bound
-    g = assert_hermitian(g, tol=1e-8, name="objective")
+    g = _hermitian_part(_as_matrix(g), 1e-8, "objective")  # with F stored Hermitian, every g - lam F is too
     if g.shape != f.shape:
         raise ValidationError("objective and constraint dims differ")
-    g = 0.5 * (g + g.conj().T)  # with F stored Hermitian, every g - lam F is exactly Hermitian
     slack = 1e-12 * max(1.0, abs(e))
 
     def probe(lam):
@@ -316,15 +316,15 @@ def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
     return 0.5 * (grad + grad.conj().T)
 
 
-def _gibbs_tilt(h, constraint: EnergyConstraint, levels):
+def _gibbs_tilt(h, constraint: EnergyConstraint):
     """``rho = exp(h - beta F) / Z`` at the least beta >= 0 with ``Tr rho F <= E``, its exact log, and its
     eigenpairs ``(p, u)``, weights ascending.
 
-    ``levels``: F's eigenvalues, ascending.  The energy's beta-slope is minus the Kubo-Mori variance
+    The energy's beta-slope is minus the Kubo-Mori variance
     ``sum_ij |F_ij|^2 L(p_i, p_j) - mean^2`` in the eigenbasis of ``h - beta F`` (L: logarithmic mean).
     A bound at the least level holds only as beta -> inf, where the energy is that level to rounding,
     so the search aims up to rounding above it; with F = c I that makes every state feasible."""
-    f = constraint.operator
+    f, levels = constraint.operator, constraint._eigenpairs[0]
     rounding = 4.0 * np.finfo(float).eps * len(levels) * float(np.abs(levels).max())
     target = max(constraint.bound, levels[0] + rounding)
 
@@ -384,7 +384,7 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     t0 = time.perf_counter()
     d = channel.dim_in
     h = np.zeros((d, d), dtype=complex)
-    rho, log_rho, eig = _gibbs_tilt(h, constraint, constraint._eigenpairs[0])
+    rho, log_rho, eig = _gibbs_tilt(h, constraint)
     start = (h, rho, log_rho, eig, mutual_information_value(channel, rho))
     best_val, best_rho, upper, iterations, trace = _ascend(channel, constraint, opts, start, opts.max_iterations)
 
@@ -421,7 +421,7 @@ def _face_start(channel: KrausChannel, constraint: EnergyConstraint, h, q):
     except ValidationError:  # the face's least level lies above E
         return None
     face, h = restrict(channel, q), q.conj().T @ h @ q
-    rho, log_rho, eig = _gibbs_tilt(h, face_con, face_con._eigenpairs[0])
+    rho, log_rho, eig = _gibbs_tilt(h, face_con)
     return face, face_con, (h, rho, log_rho, eig, mutual_information_value(face, rho))
 
 
@@ -429,7 +429,7 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
     """:func:`cea_capacity`'s mirror ascent with face steps for at most ``budget`` iterations, from ``start = (h,
     rho, ln rho, (p, u), I(rho))``: rho is the tilt of the log-iterate ``h``, with eigenpairs ``(p, u)``.  Returns
     ``(value, state, upper bound, iterations, trace)``."""
-    d, levels = channel.dim_in, constraint._eigenpairs[0]
+    d = channel.dim_in
     h, rho, log_rho, (p, u), cur = start
     best_val, best_rho, upper, eta, trace, faces, last_k = cur, rho, math.inf, 0.5, [], True, 0
 
@@ -455,7 +455,7 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
         eta = min(2.0 * eta, _MAX_STEP)
         while True:
             cand_h = log_rho + eta * step
-            cand_rho, cand_log, cand_eig = _gibbs_tilt(cand_h, constraint, levels)
+            cand_rho, cand_log, cand_eig = _gibbs_tilt(cand_h, constraint)
             cand = mutual_information_value(channel, cand_rho)
             if cand >= cur or eta <= 0.5:
                 break
@@ -563,23 +563,12 @@ def _ensemble_spectra(kraus, weights, vectors):
     return (amps, images, p, u, q, v), _spectrum_entropy(q) - _rowdot(weights, _spectrum_entropy(p))
 
 
-def _gibbs_output(kraus, constraint: EnergyConstraint):
-    """The output ``Phi(rho_G)`` of the Gibbs state ``rho_G ~ exp(-beta F)`` at the least feasible rate, beta, and
-    ``rho_G``'s eigen-ensemble: the Gibbs weights ``p`` on F's eigenvectors and those vectors' images.  ``rho_G``
-    is the re-tilt of the uniform weights on F's eigenvectors, so it needs no eigensolve.  Where a weight
-    underflows to zero (E at F's least level), the state is the beta -> inf limit and beta is inf."""
-    levels, vectors = constraint._eigenpairs
-    (p,), (beta,) = _retilt(np.ones((1, len(levels))), levels[None], constraint.bound, np.zeros(1))
-    images = _pure_images(kraus, vectors.T)[1]
-    return np.einsum("i,ibc->bc", p, images), math.inf if (p == 0.0).any() else float(beta), p, images
-
-
 def _chi_upper_bound(channel: QuantumOperation, constraint: EnergyConstraint, beta: float, w, u):
     """``(bound, allowance)``: the upper bound ``lam_max(G - lam F) + lam E`` on the constrained chi value, with
     ``G = -Phi*(log2 omega)``, ``omega`` the output with eigenpairs ``(w, u)`` and ``lam = beta / ln 2``, and the
     rounding it may carry.  For any state omega and lam >= 0, ``S(Phi(rho)) <= Tr rho G`` (Klein's inequality;
     the log floor only adds 1e-30 per level to omega's trace) and every member's output entropy is >= 0, so
-    ``chi <= Tr rho G <= lam_max(G - lam F) + lam Tr rho F``.  At the Gibbs output of :func:`_gibbs_output` the
+    ``chi <= Tr rho G <= lam_max(G - lam F) + lam Tr rho F``.  At the output of F's Gibbs state at E the
     bound is the maximal output entropy whenever the Gibbs state attains it.  The allowance, 1e-12 relative to
     the magnitudes summed, covers the eigensolve and an average energy above E by rounding.  The bound is inf
     (the stop it drives fails open) when lam or the bound is not finite."""
@@ -618,19 +607,20 @@ def chi_capacity(
     A restart leaves the stack once its best value has gained at most 1e-12
     over ``_CHI_STALL_STEPS`` iterations, or after ``opts.max_iterations``.
     *Certified stop.*  Once per call, :func:`_chi_upper_bound` bounds chi from
-    above at the output of the Gibbs state of F at E (one eigensolve, plus one
-    call for the Gibbs output and its members' images).  Every running
-    restart stops once the best value is within ``opts.gap_tolerance`` of that
-    bound plus its rounding allowance.  The bound equals chi where the Gibbs
-    state maximizes the output entropy (the identity, cq channels with
+    above at the output of the Gibbs state of F at E (one eigensolve, plus the
+    :func:`_ensemble_spectra` call on that state's eigen-ensemble).  Every
+    running restart stops once the best value is within ``opts.gap_tolerance``
+    of that bound plus its rounding allowance.  The bound equals chi where the
+    Gibbs state maximizes the output entropy (the identity, cq channels with
     orthogonal pure outputs, isometries); elsewhere it is loose and never stops
     a run, and at ``gap_tolerance=0`` it stops none.  A certified value may lie
     up to ``gap_tolerance`` below what the run would reach without the stop.
     *Certified start.*  Before any restart is drawn, chi is evaluated at the
-    Gibbs state's eigen-ensemble (F's eigenvectors at their Gibbs weights),
-    from the spectra of that call.  On the channels above it attains chi; if
-    it reaches the stop with at most ``members`` members of positive weight,
-    it is the result, with ``iterations=0``, and the restart stack never runs.
+    Gibbs state's eigen-ensemble (F's eigenvectors at their Gibbs weights, the
+    :func:`_retilt` of uniform weights), from the spectra of that call.  On the
+    channels above it attains chi; if it reaches the stop with at most
+    ``members`` members of positive weight, it is the result, with
+    ``iterations=0``, and the restart stack never runs.
     ``iterations`` sums the steps the restarts took; ``converged`` means the
     value is certified within ``gap_tolerance`` or the winning restart stopped
     on the stall test; ties go to the lower restart.
@@ -641,9 +631,9 @@ def chi_capacity(
     channel = _maybe_prune(channel)
     kraus, f_op, bound = channel.kraus_stack(), constraint.operator, constraint.bound
     d = channel.dim_in
-    m = int(members) if members is not None else d * d
-    if m < 1:
-        raise ValidationError("ensemble size must be positive")
+    m = d * d if members is None else members
+    if not _is_integer(m) or m < 1:
+        raise ValidationError(f"ensemble size must be a positive integer, got {m!r}")
     t0 = time.perf_counter()
     fw, fu = constraint._eigenpairs
 
@@ -660,11 +650,12 @@ def chi_capacity(
             vecs[-1], energies[-1] = fu[:, 0], float(fw[0])
         return vecs, energies
 
-    # chi at the Gibbs eigen-ensemble, and chi's upper bound from the eigenpairs of that ensemble's average
-    gibbs_output, beta, gibbs_p, gibbs_images = _gibbs_output(kraus, constraint)
-    q, v = _eig(np.concatenate([gibbs_output[None], gibbs_images]), "Gibbs output")
+    # chi at the Gibbs eigen-ensemble, and chi's upper bound from the eigenpairs of its average; where a Gibbs
+    # weight underflows to zero (E at F's least level), the state is the beta -> inf limit
+    (gibbs_p,), (beta,) = _retilt(np.ones((1, d)), fw[None], bound, np.zeros(1))
+    (*_, q, v), (gibbs_chi,) = _ensemble_spectra(kraus, gibbs_p[None], fu.T[None])
+    beta = math.inf if (gibbs_p == 0.0).any() else float(beta)
     stop_at = sum(_chi_upper_bound(channel, constraint, beta, q[0], v[0])) - opts.gap_tolerance
-    gibbs_chi = float(_spectrum_entropy(q[0]) - gibbs_p @ _spectrum_entropy(q[1:]))
     certified = gibbs_chi >= stop_at and int((gibbs_p > 0.0).sum()) <= m
     outcomes = [(gibbs_chi, (gibbs_p, fu.T), 0, True, 0)] if certified else []
     if not certified:  # the restart stack; it draws its random starts only here
@@ -748,9 +739,10 @@ def check_prop1(
     The chi values are heuristic lower bounds, so a negative margin is
     reported as inconclusive rather than as a violation.
     """
+    channel = _maybe_prune(channel)
     cea = cea_capacity(channel, constraint, opts)
     chi = chi_capacity(channel, constraint, opts=opts)
-    chi_comp = chi_capacity(complementary(_maybe_prune(channel)), constraint, opts=opts)
+    chi_comp = chi_capacity(complementary(channel), constraint, opts=opts)
     margin = cea.value - (2.0 * chi.value - chi_comp.value)
     return {
         "margin": margin,
@@ -827,8 +819,7 @@ def additivity_probe(
     if channel.dim_in**2 > 36 or channel.dim_out**2 > 36:
         raise ResourceLimitError("two-copy problem too large for the dense optimizer")
     single = cea_capacity(channel, constraint, opts)
-    doubled_channel = _maybe_prune(tensor_channel(channel, channel))
-    doubled = cea_capacity(doubled_channel, constraint_tensor(constraint, 2), opts)
+    doubled = cea_capacity(tensor_channel(channel, channel), constraint_tensor(constraint, 2), opts)
     combined_gap = 2.0 * single.gap + doubled.gap
     difference = doubled.value - 2.0 * single.value
     return {

@@ -240,7 +240,7 @@ def _prepare(w, u, bras) -> np.ndarray:
 def replacement_channel(tau, dim_in: int | None = None) -> KrausChannel:
     """Channel that discards the input and prepares the fixed state ``tau``."""
     w, u = _state_eig(tau, "replacement target")
-    return KrausChannel(_prepare(w, u, _eye(len(w) if dim_in is None else int(dim_in))))
+    return KrausChannel(_prepare(w, u, _eye(len(w) if dim_in is None else dim_in)))
 
 
 def dephasing_channel(dim: int = 2) -> KrausChannel:
@@ -288,12 +288,11 @@ def truncate(channel: QuantumOperation, n: int, tau, ordering=None) -> QuantumOp
 def cq_channel(states, dim_in: int | None = None) -> KrausChannel:
     """Discrete classical-quantum channel: rho -> sum_k <k|rho|k> sigma_k."""
     spectra = [_state_eig(s, f"sigma_{k}") for k, s in enumerate(states)]
-    d_in = len(spectra) if dim_in is None else int(dim_in)
-    if d_in != len(spectra):
-        raise ValidationError(f"need one output state per input basis vector ({d_in})")
+    bras = _eye(len(spectra) if dim_in is None else dim_in)
+    if len(bras) != len(spectra):
+        raise ValidationError(f"need one output state per input basis vector ({len(bras)})")
     if len({len(w) for w, _ in spectra}) > 1:
         raise ValidationError("all output states must share one dimension")
-    bras = np.eye(d_in)
     return KrausChannel([k for j, (w, u) in enumerate(spectra) for k in _prepare(w, u, bras[j : j + 1])])
 
 

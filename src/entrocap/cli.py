@@ -13,6 +13,7 @@ problem over a size limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -77,28 +78,24 @@ def _ranks(flags: dict, spec: ChannelSpec, default: list) -> list:
     return [_number(r, f"options.ranks[{i}]", integer=True) for i, r in enumerate(raw)]
 
 
-def _optimizer_options(flags: dict, spec: ChannelSpec | None, restarts_default=1) -> OptimizerOptions:
-    return OptimizerOptions(
-        max_iterations=_flag(flags, spec, "max_iterations", 300, integer=True),
-        gap_tolerance=_flag(flags, spec, "gap_tolerance", 1e-5),
-        restarts=_flag(flags, spec, "restarts", restarts_default, integer=True),
-        seed=_flag(flags, spec, "seed", 0, integer=True),
-        epsilon=_flag(flags, spec, "epsilon", 1e-9),
-    )
+# the parts a command may need, with the message and the spec location of their absence
+_PARTS = {
+    "channel": ("a finite-dimensional channel spec", "kind"),
+    "constraint": ("a constraint block", "constraint"),
+    "gaussian": ("a gaussian spec", "kind"),
+}
+
+# the commands whose restart count differs from OptimizerOptions'
+_RESTARTS = {"chi": 3, "prop1": 2, "coincidence": 2}
 
 
-def _need_channel(spec: ChannelSpec, command: str):
-    if spec.channel is None:
-        raise SpecFileError(
-            f"command {command!r} needs a finite-dimensional channel spec", "kind"
-        )
-    return spec.channel
-
-
-def _need_constraint(spec: ChannelSpec, command: str):
-    if spec.constraint is None:
-        raise SpecFileError(f"command {command!r} needs a constraint block", "constraint")
-    return spec.constraint
+def _need(spec: ChannelSpec, command: str, *parts) -> tuple:
+    """The spec's ``parts``, in order; a SpecFileError for the first one it lacks."""
+    for part in parts:
+        if getattr(spec, part) is None:
+            what, where = _PARTS[part]
+            raise SpecFileError(f"command {command!r} needs {what}", where)
+    return tuple(getattr(spec, part) for part in parts)
 
 
 def _default_state(spec: ChannelSpec):
@@ -117,7 +114,7 @@ def _capacity_payload(res) -> dict:
     }
     if res.gap is not None:
         out["gap_bits"] = res.gap
-        out["upper_bound_bits"] = res.value + res.gap
+        out["upper_bound_bits"] = res.upper_bound
     return out
 
 
@@ -127,13 +124,16 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
     if command not in COMMANDS:
         raise SpecFileError(f"unknown command {command!r}")
 
-    spec = None
+    spec = opts = None
     if command != "suite":
         if spec_path is None:
             raise SpecFileError(f"command {command!r} needs a spec file")
         spec = load_spec(spec_path)
+        defaults = {f.name: f.default for f in dataclasses.fields(OptimizerOptions)}
+        defaults["restarts"] = _RESTARTS.get(command, defaults["restarts"])
+        opts = OptimizerOptions(**{k: _flag(flags, spec, k, v, integer=isinstance(v, int)) for k, v in defaults.items()})
 
-    seed = _flag(flags, spec, "seed", 0, integer=True)
+    seed = opts.seed if opts is not None else _flag(flags, None, "seed", OptimizerOptions.seed)
     results: dict = {}
     status = "ok"
     lines: list[str] = []
@@ -162,7 +162,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             lines.append("input state ok")
 
     elif command == "entropy":
-        channel = _need_channel(spec, command)
+        (channel,) = _need(spec, command, "channel")
         rho = _default_state(spec)
         results = {
             "input_entropy_bits": entropy(rho),
@@ -202,7 +202,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
                 f"route discrepancy {abs(fock - cross):.2e})"
             )
         else:
-            channel = _need_channel(spec, command)
+            (channel,) = _need(spec, command, "channel")
             rho = _default_state(spec)
             primary = mutual_information(rho, channel)
             cross = mutual_information(rho, channel, route="entropies")
@@ -219,9 +219,8 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             )
 
     elif command == "cea":
-        channel = _need_channel(spec, command)
-        constraint = _need_constraint(spec, command)
-        res = cea_capacity(channel, constraint, _optimizer_options(flags, spec))
+        channel, constraint = _need(spec, command, "channel", "constraint")
+        res = cea_capacity(channel, constraint, opts)
         results = _capacity_payload(res)
         if not res.converged:
             status = "flagged"
@@ -231,7 +230,7 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
         )
 
     elif command == "chi":
-        channel = _need_channel(spec, command)
+        (channel,) = _need(spec, command, "channel")
         if spec.ensemble is not None:
             val = chi_through(channel, spec.ensemble)
             results = {"chi_of_ensemble_bits": val, "ensemble_size": len(spec.ensemble)}
@@ -239,12 +238,12 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
                 f"chi-quantity of the given {len(spec.ensemble)}-member ensemble: {val:.9f} bits"
             )
         else:
-            constraint = _need_constraint(spec, command)
+            (constraint,) = _need(spec, command, "constraint")
             res = chi_capacity(
                 channel,
                 constraint,
                 members=_flag(flags, spec, "members", None, integer=True),
-                opts=_optimizer_options(flags, spec, restarts_default=3),
+                opts=opts,
             )
             results = _capacity_payload(res)
             results["ensemble_size"] = len(res.optimizer)
@@ -254,9 +253,8 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
             )
 
     elif command == "prop1":
-        channel = _need_channel(spec, command)
-        constraint = _need_constraint(spec, command)
-        results = check_prop1(channel, constraint, _optimizer_options(flags, spec, restarts_default=2))
+        channel, constraint = _need(spec, command, "channel", "constraint")
+        results = check_prop1(channel, constraint, opts)
         lines.append(
             "margin {margin:+.6f} bits ({status}); cea {cea_value:.6f} "
             "(gap {cea_gap:.1e}), chi {chi_value:.6f}, complement chi "
@@ -264,9 +262,8 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
         )
 
     elif command == "coincidence":
-        channel = _need_channel(spec, command)
-        constraint = _need_constraint(spec, command)
-        results = coincidence_certificate(channel, constraint, _optimizer_options(flags, spec, restarts_default=2))
+        channel, constraint = _need(spec, command, "channel", "constraint")
+        results = coincidence_certificate(channel, constraint, opts)
         lines.append(
             "gap estimate {gap_estimate:+.6f} bits; restriction cq-discrete: "
             "{cq_discrete} (max commutator {max_commutator:.2e}, barycenter rank "
@@ -274,10 +271,9 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
         )
 
     elif command == "gaussian-classify":
-        if spec.gaussian is None:
-            raise SpecFileError("command 'gaussian-classify' needs a gaussian spec", "kind")
-        check = validate_gaussian(spec.gaussian)
-        verdicts = classify_gaussian(spec.gaussian)
+        (params,) = _need(spec, command, "gaussian")
+        check = validate_gaussian(params)
+        verdicts = classify_gaussian(params)
         results = {**verdicts, "valid": check["valid"], "min_eig_both_signs": list(check["min_eig_both_signs"])}
         lines.append(
             "valid: {valid}; cq: {cq}; discrete type: {discrete_type}; "
@@ -286,12 +282,11 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
         )
 
     elif command == "truncation":
-        channel = _need_channel(spec, command)
-        constraint = _need_constraint(spec, command)
+        channel, constraint = _need(spec, command, "channel", "constraint")
         ranks = _ranks(flags, spec, list(range(1, channel.dim_out + 1)))
         tau = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
         tau[0, 0] = 1.0
-        results = truncation_convergence(channel, constraint, ranks, tau, opts=_optimizer_options(flags, spec))
+        results = truncation_convergence(channel, constraint, ranks, tau, opts=opts)
         for row in results["rows"]:
             lines.append(
                 f"rank {row['rank']}: value {row['value']:.9f} bits, gap {row['gap']:.3e}"

@@ -284,7 +284,7 @@ def fixed_marginal_ensemble(omega_ab, encodings, weights, dims) -> Ensemble:
     Each member is ``(E (x) Id_B)[omega_ab]``; trace preservation of the
     encodings guarantees a common B-marginal, which is validated to 1e-9.
     """
-    d_a, d_b = (int(d) for d in dims)
+    d_a, d_b = _indices(dims, "subsystem dimensions")
     omega = assert_density_operator(omega_ab, name="shared state")
     if omega.shape[0] != d_a * d_b:
         raise ValidationError("shared state does not match dims")

@@ -54,9 +54,9 @@ class SymplecticSpace:
     form: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.dim) or self.dim < 2 or self.dim % 2:
+            raise ValidationError(f"symplectic dimension must be an even integer >= 2, got {self.dim!r}")
         d = int(self.dim)
-        if d < 2 or d % 2:
-            raise ValidationError(f"symplectic dimension must be even and >= 2, got {d}")
         delta = np.asarray(self.form, dtype=float)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "form", delta)
@@ -113,8 +113,8 @@ def attenuator_params(eta: float, env_photons: float = 0.0) -> GaussianChannelPa
     """Single-mode attenuator: K = sqrt(eta) I, alpha = (1-eta)(2N_E+1)/2 I."""
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"attenuation must satisfy 0 < eta <= 1, got {eta}")
-    if env_photons < 0.0:
-        raise ValidationError("environment photon number must be nonnegative")
+    if not 0.0 <= env_photons < math.inf:
+        raise ValidationError(f"environment photon number must be finite and nonnegative, got {env_photons!r}")
     space = SymplecticSpace.standard(1)
     k = math.sqrt(eta) * np.eye(2)
     alpha = (1.0 - eta) * (2.0 * env_photons + 1.0) / 2.0 * np.eye(2)

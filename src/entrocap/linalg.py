@@ -302,9 +302,9 @@ def sample_state(dim: int, rank: int | None = None, seed=0) -> np.ndarray:
     """
     if dim < 1:
         raise ValidationError("dim must be positive")
-    rank = dim if rank is None else int(rank)
-    if rank < 1 or rank > dim:
-        raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
+    rank = dim if rank is None else rank
+    if not _is_integer(rank) or not 1 <= rank <= dim:
+        raise ValidationError(f"rank must be an integer in [1, {dim}], got {rank!r}")
     rng = _rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

@@ -423,7 +423,7 @@ class TestMirrorAscent:
             h, f, levels = self.random_problem(rng)
             bound = float(rng.uniform(levels[0], levels[-1]))
             con = EnergyConstraint(f, bound)
-            rho, log_rho, (p, u) = capacity._gibbs_tilt(h, con, levels)
+            rho, log_rho, (p, u) = capacity._gibbs_tilt(h, con)
             # reference: the least feasible rate by a 200-step bisection
             lo, hi = 0.0, 1.0
             while self.gibbs(h, f, hi)[1] > bound:
@@ -455,7 +455,7 @@ class TestMirrorAscent:
         for _ in range(10):
             h, f, levels = self.random_problem(rng)
             tilts.clear()
-            capacity._gibbs_tilt(h, EnergyConstraint(f, float(levels[0] + 0.1 * (levels[-1] - levels[0]))), levels)
+            capacity._gibbs_tilt(h, EnergyConstraint(f, float(levels[0] + 0.1 * (levels[-1] - levels[0]))))
             beta, step = float(rng.uniform(0.0, 2.0)), 1e-6
             _, _, slope = tilts[0](beta)
             numeric = (tilts[0](beta + step)[1] - tilts[0](beta - step)[1]) / (2 * step)
@@ -466,7 +466,7 @@ class TestMirrorAscent:
         # F = I, E = 1: every state is feasible although its computed energy may round above 1
         h = sample_hermitian(3, seed=23)
         con = EnergyConstraint(np.eye(3), 1.0)
-        rho, _, _ = capacity._gibbs_tilt(h, con, np.ones(3))
+        rho, _, _ = capacity._gibbs_tilt(h, con)
         assert np.abs(rho - self.gibbs(h, np.eye(3), 0.0)[0]).max() <= 1e-12
 
     def test_bound_at_least_level(self):
@@ -910,7 +910,10 @@ class TestChiCapacity:
 
 def chi_upper_bound(channel, constraint):
     """``(bound, allowance)`` of the chi optimizer's stop, at the Gibbs output diagonalized on its own."""
-    omega, beta, *_ = capacity._gibbs_output(channel.kraus_stack(), constraint)
+    levels, vectors = constraint._eigenpairs
+    (p,), (beta,) = capacity._retilt(np.ones((1, len(levels))), levels[None], constraint.bound, np.zeros(1))
+    omega = np.einsum("i,ibc->bc", p, capacity._pure_images(channel.kraus_stack(), vectors.T)[1])
+    beta = math.inf if (p == 0.0).any() else float(beta)
     return capacity._chi_upper_bound(channel, constraint, beta, *capacity._eig(omega))
 
 

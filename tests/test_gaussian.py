@@ -56,6 +56,11 @@ class TestValidity:
         check = validate_gaussian(params(np.zeros((2, 2)), np.zeros((2, 2))))
         assert not check["valid"]
 
+    @pytest.mark.parametrize("env_photons", [-0.5, math.nan, math.inf])
+    def test_attenuator_needs_finite_environment_photons(self, env_photons):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            attenuator_params(0.6, env_photons)
+
     def test_attenuator_family_scan(self):
         for eta in (0.25, 0.5, 0.85):
             for n_env in (0.0, 0.3, 1.5):

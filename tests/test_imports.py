@@ -1,5 +1,6 @@
-"""Every name a module of ``entrocap`` imports is used in that module, and every module-level private
-function is referenced somewhere in the package outside its own body.
+"""Every name a module of ``entrocap`` imports is used in that module, every module-level private
+function is referenced somewhere in the package outside its own body, and no function truncates an
+integer argument with ``int()`` before checking that it is one.
 
 Uses only the standard library's ``ast``.  The import check skips ``__init__.py`` (its imports are the public
 re-exports) and any imported name on a line marked ``# noqa: F401``.
@@ -44,6 +45,36 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
 
 
+def _integer_check(node: ast.Call) -> bool:
+    """``_is_integer(x)`` or ``isinstance(x, numbers.Integral)``."""
+    name = getattr(node.func, "id", None)
+    return name == "_is_integer" or (
+        name == "isinstance" and len(node.args) == 2 and ast.unparse(node.args[1]) == "numbers.Integral"
+    )
+
+
+def unchecked_int_parameters(source: str) -> list[str]:
+    """``function(param)`` for each ``int(param)`` on a parameter of the enclosing function that the function
+    does not check first with :func:`_integer_check`: a float would be truncated silently."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        params = {a.arg for a in (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)}
+        calls = [
+            node
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and node.args and getattr(node.args[0], "id", None) in params
+        ]
+        for node in calls:
+            name = node.args[0].id
+            if getattr(node.func, "id", None) == "int" and not any(
+                _integer_check(c) and c.args[0].id == name and c.lineno < node.lineno for c in calls
+            ):
+                found.append(f"{func.name}({name})")
+    return found
+
+
 def test_modules_are_found():
     assert {p.stem for p in MODULES} >= {"capacity", "channels", "entropy", "linalg"}
 
@@ -69,3 +100,47 @@ def test_detector_flags_an_unreferenced_private_function():
 def test_every_private_function_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+def test_detector_flags_an_unchecked_int_on_a_parameter():
+    # the parent versions of four builders, then the accepted shapes: a checked parameter, an
+    # isinstance check, int() on a local, and a check that comes too late
+    source = """
+def chi_capacity(channel, constraint, members=None, opts=None):
+    m = int(members) if members is not None else d * d
+
+def sample_state(dim, rank=None, seed=0):
+    rank = dim if rank is None else int(rank)
+
+def replacement_channel(tau, dim_in=None):
+    return KrausChannel(_prepare(w, u, _eye(len(w) if dim_in is None else int(dim_in))))
+
+def cq_channel(states, dim_in=None):
+    d_in = len(spectra) if dim_in is None else int(dim_in)
+
+def constraint_tensor(constraint, n):
+    if not _is_integer(n) or n < 1:
+        raise ValidationError(n)
+    n = int(n)
+
+def _number(obj, where, integer=False):
+    if integer and not (isinstance(obj, numbers.Integral) or float(obj).is_integer()):
+        raise SpecFileError(obj, where)
+    return int(obj) if integer else float(obj)
+
+def rows(values):
+    return [int(v) for v in values]
+
+def late(k):
+    k = int(k)
+    if not _is_integer(k):
+        raise ValidationError(k)
+"""
+    assert unchecked_int_parameters(source) == [
+        "chi_capacity(members)", "sample_state(rank)", "replacement_channel(dim_in)", "cq_channel(dim_in)", "late(k)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unchecked_int_on_parameters(path):
+    assert unchecked_int_parameters(path.read_text()) == []

@@ -7,18 +7,26 @@ from hypothesis import strategies as st
 
 from entrocap import (
     CompositeLayout,
+    EnergyConstraint,
+    SymplecticSpace,
     ValidationError,
     assert_density_operator,
+    chi_capacity,
+    cq_channel,
+    fixed_marginal_ensemble,
     hermitian_eig,
+    identity_channel,
     partial_trace,
     permute_subsystems,
     purify,
+    replacement_channel,
     sample_hermitian,
     sample_isometry,
     sample_pure,
     sample_state,
     tensor,
 )
+from entrocap.gaussian import standard_symplectic_form
 from entrocap.linalg import _eig, _spectra
 
 
@@ -218,3 +226,26 @@ class TestValidators:
     def test_layout_mismatch(self):
         with pytest.raises(ValidationError):
             CompositeLayout((2, 3)).check_operator(np.eye(4))
+
+
+QUBIT = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chi_capacity(identity_channel(2), EnergyConstraint(np.diag([0.0, 1.0]), 0.25), members=1.5),
+        lambda: chi_capacity(identity_channel(2), EnergyConstraint(np.diag([0.0, 1.0]), 0.25), members=True),
+        lambda: chi_capacity(identity_channel(2), EnergyConstraint(np.diag([0.0, 1.0]), 0.25), members="2"),
+        lambda: sample_state(3, rank=2.5),
+        lambda: replacement_channel(QUBIT, 2.7),
+        lambda: cq_channel([QUBIT, np.eye(2) - QUBIT], dim_in=2.9),
+        lambda: SymplecticSpace(2.7, standard_symplectic_form(1)),
+        lambda: fixed_marginal_ensemble(sample_state(4, seed=1), [identity_channel(2)], [1.0], dims=(2.9, 2)),
+    ],
+    ids=["members-float", "members-bool", "members-str", "rank", "replacement-dim", "cq-dim", "symplectic-dim",
+         "marginal-dims"],
+)
+def test_integer_arguments_are_checked_not_truncated(build):
+    with pytest.raises(ValidationError, match="integer"):
+        build()

@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrocap import ValidationError
-from entrocap.cli import main, run
+from entrocap import OptimizerOptions, ValidationError
+from entrocap.cli import COMMANDS, main, run
 from entrocap.specfile import (
     SpecFileError,
     decode_complex_matrix,
@@ -15,6 +16,14 @@ from entrocap.specfile import (
 )
 
 SPECS = "specs"
+SPEC_NAMES = ("cq_qutrit", "gaussian_attenuator", "identity_qubit")
+SPEC_COMMANDS = [c for c in COMMANDS if c != "suite"]
+# the (command, spec) pairs where the spec lacks a part the command needs
+MISSING_PART = {
+    ("gaussian-classify", "cq_qutrit"),
+    ("gaussian-classify", "identity_qubit"),
+    *((c, "gaussian_attenuator") for c in ("entropy", "cea", "chi", "prop1", "coincidence", "truncation")),
+}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -509,3 +518,42 @@ class TestResourceLimits:
         monkeypatch.setattr(entrocap.gaussian, "_FOCK_ENTRIES", 20**3)  # a small limit: nothing large is built
         assert main(["mi", f"{SPECS}/gaussian_attenuator.json", "--cutoff", "20"]) == 3
         assert capsys.readouterr().err.startswith("resource limit: cutoff 20")
+
+
+class TestOptionsPass:
+    def test_spec_names_are_every_spec_file(self):
+        assert sorted(p.stem for p in Path(SPECS).glob("*.json")) == list(SPEC_NAMES)
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_every_command_on_every_spec(self, command, name, capsys):
+        missing = (command, name) in MISSING_PART
+        assert main([command, f"{SPECS}/{name}.json", "--seed", "0"]) == (2 if missing else 0)
+        assert capsys.readouterr().err.startswith("spec error: ") == missing
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_negative_seed_is_refused_by_every_command_that_reads_a_spec(self, command, name, capsys):
+        assert main([command, f"{SPECS}/{name}.json", "--seed", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("invariant violation: optimizer option seed must be >= 0")
+
+    @pytest.mark.parametrize(
+        "command, solver, expected",
+        [("cea", "cea_capacity", OptimizerOptions()), ("chi", "chi_capacity", OptimizerOptions(restarts=3))],
+    )
+    def test_solvers_get_the_dataclass_defaults_without_flags(self, monkeypatch, command, solver, expected):
+        import entrocap.cli
+
+        class Reached(Exception):
+            pass
+
+        received = []
+
+        def spy(channel, constraint, *positional, opts=None, **_):
+            received.append(opts if opts is not None else positional[0])
+            raise Reached
+
+        monkeypatch.setattr(entrocap.cli, solver, spy)
+        with pytest.raises(Reached):
+            run(command, f"{SPECS}/identity_qubit.json", {})
+        assert received == [expected]
