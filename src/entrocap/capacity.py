@@ -38,6 +38,7 @@ from .channels import (
 from .entropy import Ensemble, _member_terms, _rowdot, _spectrum_entropy, chi_through, mutual_information
 from .errors import ResourceLimitError, ValidationError
 from .linalg import (
+    HERMITICITY_TOL,
     LN2,
     _as_matrix,
     _eig,
@@ -46,8 +47,6 @@ from .linalg import (
     _is_integer,
     _log2_from_eig,
     assert_density_operator,
-    assert_hermitian,
-    hermitian_log2,
     tensor,
 )
 
@@ -85,14 +84,13 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class EnergyConstraint:
-    """Linear input constraint Tr rho F <= E for a positive Hermitian F."""
+    """Linear input constraint Tr rho F <= E for a positive Hermitian F, stored exactly Hermitian for the solvers."""
 
     operator: np.ndarray
     bound: float
 
     def __post_init__(self):
-        f = assert_hermitian(self.operator, name="constraint operator")
-        f = 0.5 * (f + f.conj().T)  # stored exactly Hermitian: the solvers use unchecked eigensolvers
+        f = _hermitian_part(_as_matrix(self.operator), HERMITICITY_TOL, "constraint operator")
         w, u = np.linalg.eigh(f)
         if float(w.min()) < -1e-10:
             raise ValidationError(f"constraint operator not PSD: min eig {float(w.min()):.3e}")
@@ -301,18 +299,21 @@ def _maybe_prune(channel: QuantumOperation) -> QuantumOperation:
 
 
 def mutual_information_value(channel: KrausChannel, rho) -> float:
-    """In-optimizer evaluation of the mutual information (bits): the entropies route."""
+    """Mutual information (bits) of a channel at a state, by the entropies route of :func:`mutual_information`."""
     return mutual_information(rho, channel, route="entropies")
 
 
-def _mi_gradient(channel: KrausChannel, rho, log2_rho=None) -> np.ndarray:
-    """Gradient of the mutual information in bits; ``log2_rho`` replaces the floored ``log2 rho``."""
+def _mi_spectra(channel: KrausChannel, rho, rho_w):
+    """``(I(rho) in bits, spectra)`` given rho's spectrum ``rho_w``: eigenpairs of Phi(rho) and env from one K_e rho."""
     out, env = _output_and_environment(channel, rho)
-    grad = (
-        -(hermitian_log2(rho) if log2_rho is None else log2_rho)
-        - dual_apply(channel, hermitian_log2(out))
-        + dual_environment(channel, hermitian_log2(env))
-    )
+    (w, u), (q, v) = _eig(out, "channel output"), _eig(env, "environment output")
+    return float(_spectrum_entropy(rho_w) + _spectrum_entropy(w) - _spectrum_entropy(q)), ((w, u), (q, v))
+
+
+def _mi_gradient_from(channel: KrausChannel, log2_rho, spectra) -> np.ndarray:
+    """Gradient of the mutual information in bits at a state from its ``log2 rho`` and :func:`_mi_spectra`."""
+    out, env = spectra
+    grad = -log2_rho - dual_apply(channel, _log2_from_eig(*out)) + dual_environment(channel, _log2_from_eig(*env))
     return 0.5 * (grad + grad.conj().T)
 
 
@@ -350,7 +351,8 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
 
     *Step.*  The iterate is kept as its log ``H = ln rho``, from the Gibbs state of F at the bound E
     (the maximum-entropy feasible state).  A step is ``rho+ ~ exp(H + eta ln2 grad I(rho) - beta F)``
-    (grad in bits) at the least beta >= 0 with ``Tr rho+ F <= E`` (:func:`_gibbs_tilt`).
+    (grad in bits) at the least beta >= 0 with ``Tr rho+ F <= E`` (:func:`_gibbs_tilt`).  A gradient costs one
+    Kraus product and one eigendecomposition per operator; at ``rho_eps`` they give the value too.
     *Ascent.*  Each entropy obeys ``S(X) = S(X0) + <grad S(X0), X - X0> - D(X || X0)``; the
     environment term has the favourable sign and ``D(Phi rho || Phi rho0) <= D(rho || rho0)``, so
     ``I(rho) >= I(rho0) + <grad I(rho0), rho - rho0> - 2 D(rho || rho0)`` (nats).  eta = 1/2 maximizes
@@ -435,10 +437,12 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
 
     def certificate(state):
         rho_eps = (1.0 - opts.epsilon) * state + opts.epsilon * np.eye(d) / d
-        grad = _mi_gradient(channel, rho_eps)
+        w, v = _eig(rho_eps, "state")
+        value, spectra = _mi_spectra(channel, rho_eps, w)
+        grad = _mi_gradient_from(channel, _log2_from_eig(w, v), spectra)
         lin = feasible_linear_max(grad, constraint)
         ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
-        return mutual_information_value(channel, rho_eps) + max(ascent, 0.0), grad, lin
+        return value + max(ascent, 0.0), grad, lin
 
     iterations = 0
     while iterations < budget:
@@ -451,7 +455,7 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
         k = faces and iterations < budget and _dominated_tail(
             grad - lam * constraint.operator, lin.value + lin.gap - lam * constraint.bound, upper - best_val, p, u
         )
-        step = LN2 * _mi_gradient(channel, rho, log_rho / LN2)  # nats, with the exact ln rho
+        step = LN2 * _mi_gradient_from(channel, log_rho / LN2, _mi_spectra(channel, rho, p)[1])  # nats, exact ln rho
         eta = min(2.0 * eta, _MAX_STEP)
         while True:
             cand_h = log_rho + eta * step

@@ -377,7 +377,7 @@ def minimize_kraus(op: QuantumOperation, cutoff: float = 1e-12) -> QuantumOperat
 
 def sample_channel(dim_in: int, dim_out: int, kraus_rank: int, seed=0) -> KrausChannel:
     """Random channel from a Haar isometry into output (x) environment."""
-    if kraus_rank < 1:
-        raise ValidationError("kraus_rank must be positive")
+    if not all(_is_integer(v) and v >= 1 for v in (dim_out, kraus_rank)):  # dim_in: sample_isometry checks it
+        raise ValidationError(f"dim_out and kraus_rank must be integers >= 1, got ({dim_out!r}, {kraus_rank!r})")
     v = sample_isometry(dim_in, dim_out * kraus_rank, seed)
     return KrausChannel(v.reshape(dim_out, kraus_rank, dim_in).transpose(1, 0, 2))

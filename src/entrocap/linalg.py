@@ -286,8 +286,8 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 def sample_pure(dim: int, seed=0) -> PureVector:
     """Haar-random pure state from normalized complex Gaussian entries."""
-    if dim < 1:
-        raise ValidationError("dim must be positive")
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
     rng = _rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -300,8 +300,8 @@ def sample_state(dim: int, rank: int | None = None, seed=0) -> np.ndarray:
     Obtained as the partial trace of a random pure vector on ``dim x rank``,
     which is the standard unitarily invariant construction.
     """
-    if dim < 1:
-        raise ValidationError("dim must be positive")
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
     rank = dim if rank is None else rank
     if not _is_integer(rank) or not 1 <= rank <= dim:
         raise ValidationError(f"rank must be an integer in [1, {dim}], got {rank!r}")
@@ -318,8 +318,8 @@ def sample_isometry(d_in: int, d_out: int, seed=0) -> np.ndarray:
     QR orthonormalization of a complex Gaussian matrix, with column phases
     fixed so the factor is Haar-distributed and reproducible.
     """
-    if d_out < d_in or d_in < 1:
-        raise ValidationError(f"need d_out >= d_in >= 1, got ({d_in}, {d_out})")
+    if not (_is_integer(d_in) and _is_integer(d_out) and 1 <= d_in <= d_out):
+        raise ValidationError(f"need integers d_out >= d_in >= 1, got ({d_in!r}, {d_out!r})")
     rng = _rng(seed)
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     q, r = np.linalg.qr(g)
@@ -330,6 +330,8 @@ def sample_isometry(d_in: int, d_out: int, seed=0) -> np.ndarray:
 
 def sample_hermitian(dim: int, seed=0, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-type)."""
+    if not _is_integer(dim) or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
     rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)

@@ -1,4 +1,6 @@
+import importlib
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from entrocap import (
     truncation_convergence,
 )
 from entrocap import capacity
+from entrocap.linalg import hermitian_log2
 from entrocap.specfile import load_spec
 
 QUBIT_F = np.diag([0.0, 1.0])
@@ -72,6 +75,12 @@ def water_filling(levels, bound):
         else:
             lo = mid
     return shannon(tilt(hi))
+
+
+def mi_gradient(channel, rho):
+    """The ascent's mutual-information gradient (bits) at rho, from the fused evaluator's spectra."""
+    spectra = capacity._mi_spectra(channel, rho, np.linalg.eigvalsh(rho))[1]
+    return capacity._mi_gradient_from(channel, hermitian_log2(rho), spectra)
 
 
 def basis_state(dim, k):
@@ -205,7 +214,7 @@ class TestFeasibleLinearMax:
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         n = 20
         con = EnergyConstraint(number_operator(n), 1.0)
-        grad = capacity._mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
+        grad = mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
         calls = []
         eigh = np.linalg.eigh
 
@@ -228,7 +237,7 @@ class TestFeasibleLinearMax:
         # at the Gibbs optimum the gradient is c I + lam F: the tangents meet at the kink in a few probes
         n = 20
         con = EnergyConstraint(number_operator(n), 1.0)
-        grad = capacity._mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
+        grad = mi_gradient(fock_attenuator(0.6, n), thermal_state(1.0, n))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a) or eigh(a, *args, **kwargs))
@@ -544,12 +553,12 @@ class TestMirrorAscent:
 class TestGradientAudits:
     def test_ascent_gradient_matches_finite_differences(self):
         # the +c*I ambiguity cancels along traceless Hermitian directions
-        from entrocap.capacity import _mi_gradient, mutual_information_value
+        from entrocap.capacity import mutual_information_value
 
         rng = np.random.default_rng(30)
         chan = sample_channel(3, 3, 2, seed=31)
         rho = sample_state(3, seed=32)
-        grad = _mi_gradient(chan, rho)
+        grad = mi_gradient(chan, rho)
         eps = 1e-6
         worst = 0.0
         for _ in range(10):
@@ -563,6 +572,44 @@ class TestGradientAudits:
             ana = float(np.trace(grad @ direction).real)
             worst = max(worst, abs(num - ana))
         assert worst <= 1e-5, worst
+
+    def test_fused_value_matches_both_routes(self):
+        rng = np.random.default_rng(34)
+        for _ in range(25):
+            d, d_out = (int(v) for v in rng.integers(2, 7, size=2))
+            k = -(-d // d_out) + int(rng.integers(0, 3))  # the isometry needs d_out * k >= d
+            chan = sample_channel(d, d_out, k, seed=int(rng.integers(0, 2**31)))
+            rho = sample_state(d, seed=int(rng.integers(0, 2**31)))
+            value, ((w, u), (q, v)) = capacity._mi_spectra(chan, rho, np.linalg.eigvalsh(rho))
+            for route in ("entropies", "relative_entropy"):
+                assert abs(value - mutual_information(rho, chan, route=route)) <= 1e-12
+            # the eigenpairs are those of the output and the environment output
+            assert np.abs((u * w) @ u.conj().T - chan(rho)).max() <= 1e-12
+            assert np.abs((v * q) @ v.conj().T - complementary(chan)(rho)).max() <= 1e-12
+
+    def test_certificate_shares_one_kraus_product(self, monkeypatch):
+        # one product per tilt (the value of the start and of each candidate) and one per gradient: the certificate's
+        # value at rho_eps comes from its gradient's product, where a second product (24 per bench body, not 18)
+        # breaks the bound
+        counts = Counter()
+        for module, name in [
+            (capacity, "_output_and_environment"),
+            (importlib.import_module("entrocap.entropy"), "_output_and_environment"),
+            (capacity, "_gibbs_tilt"),
+            (capacity, "feasible_linear_max"),
+            (capacity, "dual_environment"),
+        ]:
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        n = 20
+        res = cea_capacity(fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0))
+        assert res.converged
+        assert counts["_gibbs_tilt"] >= 1 and counts["feasible_linear_max"] == res.iterations
+        assert counts["dual_environment"] >= counts["feasible_linear_max"]  # a gradient per certificate, and per step
+        assert counts["_output_and_environment"] <= counts["_gibbs_tilt"] + counts["dual_environment"]
 
 
 class TestChiCapacity:

@@ -1,6 +1,7 @@
 """Every name a module of ``entrocap`` imports is used in that module, every module-level private
-function is referenced somewhere in the package outside its own body, and no function truncates an
-integer argument with ``int()`` before checking that it is one.
+function is referenced somewhere in the package outside its own body, no function truncates an
+integer argument with ``int()`` before checking that it is one, and one function of ``capacity.py``
+forms a state's channel and environment outputs, so a certificate's value and gradient share one product.
 
 Uses only the standard library's ``ast``.  The import check skips ``__init__.py`` (its imports are the public
 re-exports) and any imported name on a line marked ``# noqa: F401``.
@@ -144,3 +145,80 @@ def late(k):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_unchecked_int_on_parameters(path):
     assert unchecked_int_parameters(path.read_text()) == []
+
+
+# the one function of capacity.py that forms a state's output and environment output
+EVALUATOR = "_mi_spectra"
+
+
+def own_calls(func: ast.FunctionDef) -> list[str]:
+    """Names of the functions that ``func`` calls in its own body, leaving out the functions nested in it."""
+    names, stack = [], list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            continue
+        if isinstance(node, ast.Call):
+            names.append(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def repeated_evaluations(source: str) -> list[str]:
+    """``function -> callee`` for each call that forms or diagonalizes a state's outputs outside :data:`EVALUATOR`:
+    ``_output_and_environment`` anywhere else (the evaluator calls it exactly once), ``hermitian_log2`` anywhere,
+    and ``mutual_information_value`` in a ``certificate``, whose value comes with its gradient."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        calls = own_calls(func)
+        banned = {"hermitian_log2"} | ({"mutual_information_value"} if func.name == "certificate" else set())
+        if func.name != EVALUATOR:
+            banned.add("_output_and_environment")
+        elif calls.count("_output_and_environment") != 1:
+            found.append(f"{func.name} -> _output_and_environment x{calls.count('_output_and_environment')}")
+        found += [f"{func.name} -> {name}" for name in calls if name in banned]
+    return sorted(found)
+
+
+def test_detector_flags_a_second_evaluation():
+    # the parent's gradient and certificate, which formed the outputs of rho_eps once for the value and once for
+    # the gradient; then an evaluator that forms them twice
+    source = """
+def _mi_gradient(channel, rho, log2_rho=None):
+    out, env = _output_and_environment(channel, rho)
+    grad = (
+        -(hermitian_log2(rho) if log2_rho is None else log2_rho)
+        - dual_apply(channel, hermitian_log2(out))
+        + dual_environment(channel, hermitian_log2(env))
+    )
+    return 0.5 * (grad + grad.conj().T)
+
+def _ascend(channel, constraint, opts, start, budget):
+    def certificate(state):
+        grad = _mi_gradient(channel, rho_eps)
+        return mutual_information_value(channel, rho_eps) + max(ascent, 0.0), grad, lin
+
+    while iterations < budget:
+        step = LN2 * _mi_gradient(channel, rho, log_rho / LN2)
+        cand = mutual_information_value(channel, cand_rho)
+
+def _mi_spectra(channel, rho, rho_w):
+    out, env = _output_and_environment(channel, rho)
+    return _output_and_environment(channel, rho)
+"""
+    assert repeated_evaluations(source) == [
+        "_mi_gradient -> _output_and_environment",
+        "_mi_gradient -> hermitian_log2",
+        "_mi_gradient -> hermitian_log2",
+        "_mi_gradient -> hermitian_log2",
+        "_mi_spectra -> _output_and_environment x2",
+        "certificate -> mutual_information_value",
+    ]
+
+
+def test_capacity_evaluates_each_certificate_state_once():
+    source = (PACKAGE / "capacity.py").read_text()
+    assert f"def {EVALUATOR}(" in source
+    assert repeated_evaluations(source) == []

@@ -20,6 +20,7 @@ from entrocap import (
     permute_subsystems,
     purify,
     replacement_channel,
+    sample_channel,
     sample_hermitian,
     sample_isometry,
     sample_pure,
@@ -248,4 +249,28 @@ QUBIT = np.diag([1.0, 0.0]).astype(complex)
 )
 def test_integer_arguments_are_checked_not_truncated(build):
     with pytest.raises(ValidationError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, blamed",
+    [
+        (lambda: sample_pure(2.5), "dim"),
+        (lambda: sample_state(2.5), "dim"),
+        (lambda: sample_isometry(2.5, 3), "d_in"),
+        (lambda: sample_isometry(2, 3.5), "d_in"),
+        (lambda: sample_hermitian(2.5), "dim"),
+        (lambda: sample_hermitian(-1), "dim"),
+        (lambda: sample_hermitian(0), "dim"),
+        (lambda: sample_channel(2, 2, 1.5), "kraus_rank"),
+        (lambda: sample_channel(2, 2, 0), "kraus_rank"),
+        (lambda: sample_channel(2, 2.5, 2), "dim_out"),
+    ],
+    ids=["pure-float", "state-float", "isometry-in", "isometry-out", "hermitian-float", "hermitian-negative",
+         "hermitian-zero", "channel-rank-float", "channel-rank-zero", "channel-out-float"],
+)
+def test_sampler_dimensions_are_positive_integers(build, blamed):
+    # a float dimension reached numpy (a raw TypeError), a negative one a raw ValueError, and 0 an empty matrix;
+    # a float dim_out was blamed on the isometry's output dimension dim_out * kraus_rank
+    with pytest.raises(ValidationError, match=f"{blamed}.*integer|integer.*{blamed}"):
         build()
