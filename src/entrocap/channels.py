@@ -9,6 +9,7 @@ contracts that could see the ordering are stated spectrum-level.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -69,7 +70,11 @@ class QuantumOperation:
     """Completely positive trace-non-increasing map given by Kraus operators.
 
     ``kraus`` is a sequence of matrices or one ``(E, B, A)`` array; it is stored as the
-    tuple of the rows of one owned complex stack.
+    tuple of the rows of one owned complex stack.  After its first product the channel also
+    keeps the stack's (B, E, A) copy and a workspace of two stack-sized complex buffers for
+    the kernels' temporaries: three stacks besides its own, the transient peak of one call,
+    now resident.  A kernel takes the workspace out of the channel for the call and puts it
+    back, so concurrent calls on one channel are safe (one of them works in fresh buffers).
     """
 
     kraus: tuple
@@ -115,6 +120,9 @@ class QuantumOperation:
     def __call__(self, rho) -> np.ndarray:
         return apply(self, rho)
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_work"}  # the workspace holds no value
+
 
 @dataclass(frozen=True)
 class KrausChannel(QuantumOperation):
@@ -146,41 +154,75 @@ def _operand(op: QuantumOperation, x, side: str = "input") -> np.ndarray:
     return x
 
 
+@contextmanager
+def _workspace(op: QuantumOperation):
+    """The channel's workspace, two stack-sized complex rows, taken out of it for the block and put back after.
+
+    A call that finds none (the first, or one running while another holds it) gets fresh rows.  The kernels
+    below form the GEMM operands np.tensordot would (the same contiguous transposed copies, the same np.dot),
+    but write their stack-sized temporaries into the workspace; what they return is always fresh.
+    """
+    work = op.__dict__.pop("_work", None)
+    if work is None or work.shape[1] != op._stack.size:
+        work = np.empty((2, op._stack.size), complex)
+    try:
+        yield work
+    finally:
+        op.__dict__["_work"] = work
+
+
 def apply(op: QuantumOperation, rho) -> np.ndarray:
     """Act with the map: rho -> sum_i K_i rho K_i†."""
-    ks = op.kraus_stack()
-    return np.tensordot(ks @ _operand(op, rho), ks.conj(), axes=([0, 2], [0, 2]))  # K_i rho: (E, B, A)
+    ks, rho = op.kraus_stack(), _operand(op, rho)
+    e, b, a = ks.shape
+    with _workspace(op) as work:
+        prod = np.matmul(ks, rho, out=work[0].reshape(e, b, a))  # K_i rho
+        np.copyto(work[1].reshape(b, e, a), prod.transpose(1, 0, 2))
+        np.conjugate(ks.transpose(0, 2, 1), out=work[0].reshape(e, a, b))
+        return np.dot(work[1].reshape(b, e * a), work[0].reshape(e * a, b))
 
 
 def dual_apply(op: QuantumOperation, a) -> np.ndarray:
     """Heisenberg-picture action on observables: a -> sum_i K_i† a K_i."""
-    ks = op.kraus_stack()
-    tmp = np.tensordot(_operand(op, a, "output"), ks, axes=([1], [1]))  # (B, E, A) = rows of a K_e
-    return np.tensordot(ks.conj(), tmp.transpose(1, 0, 2), axes=([0, 1], [0, 1]))
+    ks, a = op.kraus_stack(), _operand(op, a, "output")
+    e, b, d = ks.shape
+    with _workspace(op) as work:
+        prod = np.dot(a, op._by_output.reshape(b, e * d), out=work[0].reshape(b, e * d))  # (B, E, A) = rows of a K_e
+        np.copyto(work[1].reshape(e, b, d), prod.reshape(b, e, d).transpose(1, 0, 2))
+        np.conjugate(ks.transpose(2, 0, 1), out=work[0].reshape(d, e, b))
+        return np.dot(work[0].reshape(d, e * b), work[1].reshape(e * b, d))
 
 
 def environment_output(op: QuantumOperation, rho) -> np.ndarray:
     """State reaching the environment: Gram matrix [Tr K_i rho K_j†]_ij."""
-    ks = op.kraus_stack()
-    return np.tensordot(ks @ _operand(op, rho), ks.conj(), axes=([1, 2], [1, 2]))
+    ks, rho = op.kraus_stack(), _operand(op, rho)
+    e, b, a = ks.shape
+    with _workspace(op) as work:
+        prod = np.matmul(ks, rho, out=work[0].reshape(e, b, a))  # K_i rho
+        np.conjugate(ks.transpose(1, 2, 0), out=work[1].reshape(b, a, e))
+        return np.dot(prod.reshape(e, b * a), work[1].reshape(b * a, e))
 
 
 def _output_and_environment(op: QuantumOperation, rho) -> tuple[np.ndarray, np.ndarray]:
     """``(Phi(rho), env)`` of a Hermitian rho from one product K_e rho on the (B, E, A) stack: Phi = K (K rho)†."""
-    ks = op._by_output
+    ks, rho = op._by_output, _operand(op, rho)
     b, e, a = ks.shape
-    tmp = ks.reshape(b * e, a) @ _operand(op, rho)  # rows (b, e) of K_e rho
-    np.conjugate(tmp, out=tmp)
-    out = ks.reshape(b, e * a) @ tmp.reshape(b, e * a).T
-    tmp = tmp.reshape(b, e, a).transpose(1, 0, 2).reshape(e, b * a)  # rebound, so at most two stack-sized arrays live
-    return out, op.kraus_stack().reshape(e, b * a) @ tmp.T
+    with _workspace(op) as work:
+        prod = np.matmul(ks.reshape(b * e, a), rho, out=work[0].reshape(b * e, a))  # rows (b, e) of K_e rho
+        np.conjugate(prod, out=prod)
+        out = ks.reshape(b, e * a) @ prod.reshape(b, e * a).T
+        np.copyto(work[1].reshape(e, b, a), prod.reshape(b, e, a).transpose(1, 0, 2))  # rows e of (K_e rho)*
+        return out, op.kraus_stack().reshape(e, b * a) @ work[1].reshape(e, b * a).T
 
 
 def dual_environment(op: QuantumOperation, m) -> np.ndarray:
     """Dual of the environment map: observable on env -> observable on input."""
-    ks = op.kraus_stack()
-    tmp = np.tensordot(_operand(op, m, "environment"), ks, axes=([1], [0]))  # (E, B, A)
-    return np.tensordot(ks.conj(), tmp, axes=([0, 1], [0, 1]))
+    ks, m = op.kraus_stack(), _operand(op, m, "environment")
+    e, b, a = ks.shape
+    with _workspace(op) as work:
+        prod = np.dot(m, ks.reshape(e, b * a), out=work[0].reshape(e, b * a))  # (E, B, A)
+        np.conjugate(ks.transpose(2, 0, 1), out=work[1].reshape(a, e, b))
+        return np.dot(work[1].reshape(a, e * b), prod.reshape(e * b, a))
 
 
 def stinespring(op: QuantumOperation) -> StinespringDilation:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, QuantumOperation, _output_and_environment, apply, tensor_channel, identity_channel
+from .channels import KrausChannel, QuantumOperation, _output_and_environment, _workspace, apply, identity_channel
+from .channels import tensor_channel
 from .errors import ValidationError
 from .linalg import (
     LN2,
@@ -262,13 +263,17 @@ def mutual_information(rho, op: QuantumOperation, route: str = "relative_entropy
         raise ValidationError("state dimension does not match the channel input")
     p, ks = w / w.sum(), op._by_output  # p: the reference marginal, diagonal in the basis r
     b, k, d = ks.shape
-    m = (ks.reshape(b * k, d) @ (u * np.sqrt(p))).reshape(b, k * d)  # [m_0 m_1 ...], phi[a, r] = sqrt(p_r) u[a, r]
-    a, u_a = _eig(m @ m.conj().T, "channel output")
-    # |m_e|^2 in the product eigenbasis, summed over e; big temporaries are rebound once used (fewer page faults)
-    weight = (u_a.conj().T @ m).view(np.float64)
-    weight = np.square(weight, out=weight).reshape(b, k, 2 * d).sum(axis=1).reshape(b, d, 2).sum(axis=2).ravel()
-    m = m.reshape(b, k, d).transpose(1, 0, 2).reshape(k, b * d)  # rows vec m_e
-    joint = _eig(m @ m.conj().T if k <= b * d else m.conj().T @ m, "joint state", vectors=False)
+    with _workspace(op) as work:  # every stack-sized product and copy is written into the channel's workspace
+        # [m_0 m_1 ...], phi[a, r] = sqrt(p_r) u[a, r]
+        m = np.matmul(ks.reshape(b * k, d), u * np.sqrt(p), out=work[0].reshape(b * k, d)).reshape(b, k * d)
+        a, u_a = _eig(m @ np.conjugate(m, out=work[1].reshape(b, k * d)).T, "channel output")
+        # |m_e|^2 in the product eigenbasis, summed over e
+        weight = np.matmul(u_a.conj().T, m, out=work[1].reshape(b, k * d)).view(np.float64)
+        weight = np.square(weight, out=weight).reshape(b, k, 2 * d).sum(axis=1).reshape(b, d, 2).sum(axis=2).ravel()
+        rows = work[1].reshape(k, b * d)  # rows vec m_e
+        np.copyto(rows.reshape(k, b, d), m.reshape(b, k, d).transpose(1, 0, 2))
+        conj = np.conjugate(rows, out=work[0].reshape(k, b * d))
+        joint = _eig(rows @ conj.T if k <= b * d else conj.T @ rows, "joint state", vectors=False)
     # support containment holds identically, so only exact kernel directions are screened: the value is finite
     return float(_relative_entropy_tail(joint, np.outer(a, p).ravel(), weight, 0.0, 1e-9))
 

@@ -1,4 +1,9 @@
+import copy
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +39,8 @@ from entrocap import (
     unitary_channel,
 )
 
-from entrocap.channels import CHANNEL_TOL, _operand, dual_environment
-from entrocap.gaussian import fock_attenuator
+from entrocap.channels import CHANNEL_TOL, _operand, _output_and_environment, dual_environment
+from entrocap.gaussian import fock_attenuator, thermal_state
 from entrocap.linalg import hermitian_eig, sample_isometry
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -608,3 +613,85 @@ class TestMinimizeKraus:
         assert slim.env_dim <= 4
         rho = sample_state(2, seed=101)
         assert np.abs(apply(slim, rho) - apply(chan, rho)).max() <= 1e-9
+
+
+class TestWorkspace:
+    """The channel actions and both mutual-information routes write their stack-sized temporaries into a
+    workspace the channel keeps; it is taken out of the channel for each call and put back after."""
+
+    CALLS = {
+        "relative_entropy": lambda op, x: mutual_information(x, op),
+        "entropies": lambda op, x: mutual_information(x, op, route="entropies"),
+        "outputs": _output_and_environment,
+        "apply": apply,
+        "dual_apply": dual_apply,
+        "environment_output": environment_output,
+        "dual_environment": dual_environment,
+    }
+
+    @staticmethod
+    def operand(kernel, op, rho):
+        """``rho``, or for a dual map an observable of the right side built from it."""
+        return {"dual_apply": apply, "dual_environment": environment_output}.get(kernel, lambda _, r: r)(op, rho)
+
+    @pytest.mark.parametrize("kernel", CALLS)
+    def test_warm_call_allocates_no_stack_sized_block(self, kernel):
+        att, rho = fock_attenuator(0.6, 30), thermal_state(0.5, 30)
+        call, x = self.CALLS[kernel], self.operand(kernel, att, rho)
+        call(att, x)  # the first call makes the (B, E, A) copy and the workspace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call(att, x)
+            grown = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # one stack is 477 KB here; Phi(rho), env and their spectra are 31 x 31
+        assert grown < att.kraus_stack().nbytes
+
+    def test_concurrent_calls_on_one_channel_match_serial_values(self):
+        att, rng = fock_attenuator(0.6, 16), np.random.default_rng(21)
+        states = [[sample_state(17, seed=int(s)) for s in rng.integers(0, 2**31, 50)] for _ in range(4)]
+
+        def values(rows):
+            return [(mutual_information(r, att), mutual_information(r, att, route="entropies")) for r in rows]
+
+        serial, results, start = [values(rows) for rows in states], [None] * 4, threading.Barrier(4, timeout=60)
+
+        def run(i):
+            start.wait()
+            results[i] = values(states[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that calls interleave inside the kernels
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    def test_pickle_and_deepcopy_round_trip_after_a_call(self):
+        att, rho = fock_attenuator(0.6, 8), thermal_state(0.5, 8)
+        value = mutual_information(rho, att)
+        for twin in (pickle.loads(pickle.dumps(att)), copy.deepcopy(att)):
+            assert type(twin) is KrausChannel and "_work" not in vars(twin)  # the workspace holds no value
+            assert np.array_equal(twin.kraus_stack(), att.kraus_stack())
+            assert all(np.array_equal(k, l) for k, l in zip(twin.kraus, att.kraus, strict=True))
+            assert mutual_information(rho, twin) == value == mutual_information(rho, att)
+            assert np.array_equal(apply(twin, rho), apply(att, rho))
+
+    @pytest.mark.parametrize("kernel", ["outputs", "apply", "dual_apply", "environment_output", "dual_environment"])
+    def test_results_are_not_views_of_the_workspace(self, kernel):
+        chan, call = sample_channel(3, 4, 5, seed=11), self.CALLS[kernel]
+        x, y = (self.operand(kernel, chan, sample_state(3, seed=seed)) for seed in (12, 13))
+        first = call(chan, x)
+        first = first if isinstance(first, tuple) else (first,)
+        kept = [f.copy() for f in first]
+        assert not any(np.shares_memory(f, chan.__dict__["_work"]) for f in first)
+        call(chan, y)
+        assert all(np.array_equal(f, k) for f, k in zip(first, kept))

@@ -1,7 +1,8 @@
 """Every name a module of ``entrocap`` imports is used in that module, every module-level private
 function is referenced somewhere in the package outside its own body, no function truncates an
-integer argument with ``int()`` before checking that it is one, and one function of ``capacity.py``
-forms a state's channel and environment outputs, so a certificate's value and gradient share one product.
+integer argument with ``int()`` before checking that it is one, one function of ``capacity.py``
+forms a state's channel and environment outputs, so a certificate's value and gradient share one product,
+and a channel's workspace is only ever borrowed for a ``with`` block that puts it back.
 
 Uses only the standard library's ``ast``.  The import check skips ``__init__.py`` (its imports are the public
 re-exports) and any imported name on a line marked ``# noqa: F401``.
@@ -222,3 +223,90 @@ def test_capacity_evaluates_each_certificate_state_once():
     source = (PACKAGE / "capacity.py").read_text()
     assert f"def {EVALUATOR}(" in source
     assert repeated_evaluations(source) == []
+
+
+# a channel's workspace: the key it is kept under in the channel's __dict__, the helper that lends it for a
+# ``with`` block, and the one other function that may name the key (pickling leaves the workspace out)
+WORK_KEY, WORK_HELPER, WORK_READERS = "_work", "_workspace", {"_workspace", "__getstate__"}
+
+
+def _names_work_key(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and node.value == WORK_KEY) or getattr(node, "attr", None) == WORK_KEY
+
+
+def workspace_leaks(source: str) -> list[str]:
+    """Each way ``source`` could lose or share a channel's workspace: the key named outside
+    :data:`WORK_READERS`, a function that takes it out of the channel (``.pop``) and does not put it back in a
+    ``finally``, and a call of :data:`WORK_HELPER` that is not the context expression of a ``with``."""
+    tree, found = ast.parse(source), []
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in WORK_READERS
+        for node in ast.walk(func)
+    }
+    found += [f"line {n.lineno} names {WORK_KEY}" for n in ast.walk(tree)
+              if _names_work_key(n) and id(n) not in allowed]
+    with_items = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With) for item in node.items}
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        borrows = any(
+            isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "pop" and any(map(_names_work_key, n.args))
+            for n in ast.walk(func)
+        )
+        returned = any(
+            isinstance(t, ast.Try) and any(_names_work_key(n) for stmt in t.finalbody for n in ast.walk(stmt))
+            for t in ast.walk(func)
+        )
+        if borrows and not returned:
+            found.append(f"{func.name} does not put {WORK_KEY} back in a finally")
+        found += [
+            f"{func.name} calls {WORK_HELPER} outside a with"
+            for n in ast.walk(func)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == WORK_HELPER and id(n) not in with_items
+        ]
+    return sorted(found)
+
+
+def test_detector_flags_a_leaked_workspace():
+    # a helper that puts the workspace back only when the block raises nothing, a kernel that borrows it by
+    # hand, a kernel that enters the helper without a with, and the accepted shape
+    source = """
+@contextmanager
+def _workspace(op):
+    work = op.__dict__.pop("_work", None)
+    yield work
+    op.__dict__["_work"] = work
+
+def apply(op, rho):
+    work = op.__dict__.pop("_work", None)
+    out = np.dot(work[0], rho)
+    op._work = work
+    return out
+
+def environment_output(op, rho):
+    work = _workspace(op).__enter__()
+    return np.dot(work[0], rho)
+
+def dual_apply(op, a):
+    with _workspace(op) as work:
+        return np.dot(a, work[0])
+"""
+    assert workspace_leaks(source) == [
+        "_workspace does not put _work back in a finally",
+        "apply does not put _work back in a finally",
+        "environment_output calls _workspace outside a with",
+        "line 11 names _work",
+        "line 9 names _work",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_workspace_is_only_borrowed_for_a_with_block(path):
+    assert workspace_leaks(path.read_text()) == []
+
+
+def test_workspace_helper_is_found():
+    source = (PACKAGE / "channels.py").read_text()
+    assert f"def {WORK_HELPER}(" in source and f'"{WORK_KEY}"' in source
