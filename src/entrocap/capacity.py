@@ -218,20 +218,24 @@ def _min_energy_vector(g_w, g_u, f):
 def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     """Maximize Tr(G sigma) over feasible states, certified to ~1e-10.
 
-    Lagrangian search on the multiplier: the maximizer of ``G - lam F``
-    over states is its top eigenvector; the feasible optimum is either the
-    unconstrained one or a two-point mixture at the active breakpoint, and
-    complementary slackness bounds the optimality gap.  The search probes
-    where the lines ``<v|G - lam F|v>`` of the bracket ends' vectors meet
-    (tangents of the convex ``lam_max(G - lam F)``), or come within the tie
-    width of :func:`_min_energy_vector`; that finds the breakpoint in a few
-    eigensolves when the top eigenvector switches there.  Midpoints guard
-    the search, which ends at adjacent floats like a bisection.
+    Lagrangian search on the multiplier: the maximizer of ``G - lam F`` over states is its top eigenvector; the
+    feasible optimum is either the unconstrained one or a two-point mixture at the active breakpoint, and
+    complementary slackness bounds the optimality gap.  The search probes where the lines ``<v|G - lam F|v>`` of
+    the bracket ends' vectors meet (tangents of the convex ``lam_max(G - lam F)``), or come within the tie width
+    of :func:`_min_energy_vector`; that finds the breakpoint in a few eigensolves when the top eigenvector switches
+    there.  Midpoints guard the search, which ends at adjacent floats like a bisection.  :func:`cea_capacity`'s
+    certificate runs it from its last multiplier and stops once the gap is within ``0.01 gap_tolerance``.
     """
-    f, e = constraint.operator, constraint.bound
     g = _hermitian_part(_as_matrix(g), 1e-8, "objective")  # with F stored Hermitian, every g - lam F is too
-    if g.shape != f.shape:
+    if g.shape != constraint.operator.shape:
         raise ValidationError("objective and constraint dims differ")
+    return _linear_max(g, constraint, 0.0, 0.0)
+
+
+def _linear_max(g, constraint: EnergyConstraint, stop: float, start: float) -> LinearMaxResult:
+    """:func:`feasible_linear_max`'s search on a Hermitian ``g``, ended once the mixture's gap (its primal read from
+    the ends' lines) is at most ``stop`` (0: at adjacent floats); the first multiplier after 0 is ``start`` (0: 1)."""
+    f, e = constraint.operator, constraint.bound
     slack = 1e-12 * max(1.0, abs(e))
 
     def probe(lam):
@@ -244,19 +248,23 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     if f0 <= e + slack:
         return LinearMaxResult(np.outer(v0, v0.conj()), c0, max(top0 - c0, 0.0), 0.0)
 
-    # Double the multiplier from 1 (up to 2^127) until feasible.  A probe's vector v has the line
-    # <v|g - lam F|v> = c - lam f, a tangent of lam_max(g - lam F) unless v was picked from a tie.  Probe
-    # where the lines of lam_lo and lam_hi meet (a kink); if that is at or above lam_hi, the least feasible
-    # multiplier is where lam_lo's line comes within lam_hi's tie width.  A midpoint follows a probe that
-    # did not halve the bracket.  Once the target lies at an end to within its rounding, step from the last
-    # probe by 1, 8, 64, ... times that rounding, never past the midpoint, to adjacent floats.  "Feasible"
-    # shrinks lam_hi, so ties go to the smaller multiplier.
+    # Double the multiplier from ``start`` or 1 (up to 2^127) until feasible.  A probe's vector v has the line
+    # <v|g - lam F|v> = c - lam f, a tangent of lam_max(g - lam F) unless v was picked from a tie.  Probe where the
+    # lines of lam_lo and lam_hi meet (a kink); if that is at or above lam_hi, the least feasible multiplier is
+    # where lam_lo's line comes within lam_hi's tie width.  A midpoint follows a probe that did not halve the
+    # bracket.  Once the target lies at an end to within its rounding, step from the last probe by 1, 8, 64, ...
+    # times that rounding, never past the midpoint, to adjacent floats.  "Feasible" shrinks lam_hi, so ties go to
+    # the smaller multiplier.  A mixture's gap bounds its loss (weak duality): one within ``stop`` ends the search.
     lam_lo, v_lo, f_lo, c_lo, lam_hi, v_hi = 0.0, v0, f0, c0, 2.0**128, None
     step, feasible, width = 0.0, False, math.inf
     while True:
+        if stop and v_hi is not None:  # the primal of the ends' mixture at the bound, from their lines
+            t = min(max((e - f_hi) / (f_lo - f_hi), 0.0), 1.0)
+            if top_hi + lam_hi * e - (t * c_lo + (1.0 - t) * c_hi) <= stop:
+                break
         mid = 0.5 * (lam_lo + lam_hi)
         if v_hi is None:
-            t = max(2.0 * lam_lo, 1.0)
+            t = start if start and not lam_lo else max(2.0 * lam_lo, 1.0)
         elif not step:
             slope = f_lo - f_hi  # > 0: lam_lo is infeasible, lam_hi feasible
             t = (c_lo - c_hi) / slope
@@ -288,8 +296,7 @@ def feasible_linear_max(g, constraint: EnergyConstraint) -> LinearMaxResult:
     sigma = t * np.outer(v_lo, v_lo.conj()) + (1.0 - t) * np.outer(v_hi, v_hi.conj())
     sigma = 0.5 * (sigma + sigma.conj().T)
     value = float(np.trace(g @ sigma).real)
-    dual = top_hi + lam_hi * e
-    return LinearMaxResult(sigma, value, max(dual - value, 0.0), lam_hi)
+    return LinearMaxResult(sigma, value, max(top_hi + lam_hi * e - value, 0.0), lam_hi)
 
 
 def _maybe_prune(channel: QuantumOperation) -> QuantumOperation:
@@ -359,8 +366,9 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     this minorant over the feasible set exactly and never lowers the value; each step first tries
     twice the last eta, up to ``_MAX_STEP``, and halves it while the value drops.
     *Certificate.*  By concavity ``I(rho_eps) + max_feasible <grad I(rho_eps), sigma - rho_eps>``, with
-    ``rho_eps = (1 - eps) rho + eps I/d`` and the max from :func:`feasible_linear_max`, bounds the
-    optimum.  The run stops once the least such bound is within ``gap_tolerance`` of the best iterate.
+    ``rho_eps = (1 - eps) rho + eps I/d`` and the max bounded by :func:`feasible_linear_max`'s dual (from the
+    last multiplier, within ``0.01 gap_tolerance``), bounds the optimum.  The run stops once the least such
+    bound is within ``gap_tolerance`` of the best iterate.
     *Face step.*  The iterates ``exp(H)`` are full rank, so they only approach an optimum with a kernel.
     The oracle's Lagrangian ``G - lam F`` at ``rho_eps`` has top eigenvalue ``value + gap - lam E``; an
     eigendirection of rho whose diagonal entry lies below it by more than the current gap (upper bound
@@ -433,14 +441,16 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
     ``(value, state, upper bound, iterations, trace)``."""
     d = channel.dim_in
     h, rho, log_rho, (p, u), cur = start
-    best_val, best_rho, upper, eta, trace, faces, last_k = cur, rho, math.inf, 0.5, [], True, 0
+    best_val, best_rho, upper, eta, trace, faces, last_k, lam = cur, rho, math.inf, 0.5, [], True, 0, 0.0
 
     def certificate(state):
+        nonlocal lam  # the last certificate's multiplier, where this one's oracle starts
         rho_eps = (1.0 - opts.epsilon) * state + opts.epsilon * np.eye(d) / d
         w, v = _eig(rho_eps, "state")
         value, spectra = _mi_spectra(channel, rho_eps, w)
         grad = _mi_gradient_from(channel, _log2_from_eig(w, v), spectra)
-        lin = feasible_linear_max(grad, constraint)
+        lin = _linear_max(grad, constraint, 0.01 * opts.gap_tolerance, lam)
+        lam = lin.multiplier
         ascent = lin.value + lin.gap - float(np.trace(grad @ rho_eps).real)
         return value + max(ascent, 0.0), grad, lin
 
@@ -451,7 +461,6 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
         upper = min(upper, bound)
         if upper - best_val <= opts.gap_tolerance:
             break
-        lam = lin.multiplier
         k = faces and iterations < budget and _dominated_tail(
             grad - lam * constraint.operator, lin.value + lin.gap - lam * constraint.bound, upper - best_val, p, u
         )

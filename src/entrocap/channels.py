@@ -120,8 +120,8 @@ class QuantumOperation:
     def __call__(self, rho) -> np.ndarray:
         return apply(self, rho)
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_work"}  # the workspace holds no value
+    def __reduce__(self):
+        return type(self), (self._stack,)  # pickles the stack once; loading re-checks it, copy and workspace regrow
 
 
 @dataclass(frozen=True)
@@ -349,18 +349,20 @@ class CqDiscreteResult(NamedTuple):
     max_commutator: float
 
 
+def _dual_images(channel: QuantumOperation) -> tuple[list, float]:
+    """The dual images of the output's Hermitian basis and the largest entry of their pairwise commutators."""
+    duals = [dual_apply(channel, e) for e in hermitian_basis(channel.dim_out)]
+    pairs = ((a, b) for i, a in enumerate(duals) for b in duals[i + 1 :])
+    return duals, max((float(np.abs(a @ b - b @ a).max()) for a, b in pairs), default=0.0)
+
+
 def is_cq(channel: QuantumOperation, tol: float = 1e-8) -> CqResult:
     """Test whether the dual images of an operator basis all commute.
 
     Reports the largest commutator entry so borderline verdicts can be
     audited against the tolerance.
     """
-    duals = [dual_apply(channel, e) for e in hermitian_basis(channel.dim_out)]
-    worst = 0.0
-    for i in range(len(duals)):
-        for j in range(i + 1, len(duals)):
-            comm = duals[i] @ duals[j] - duals[j] @ duals[i]
-            worst = max(worst, float(np.abs(comm).max()))
+    worst = _dual_images(channel)[1]
     return CqResult(worst <= tol, worst)
 
 
@@ -376,19 +378,16 @@ def is_cq_discrete(
     basis is recovered from a random Hermitian combination (redrawn on
     degeneracy trouble) and certified by the residual off-diagonal mass.
     """
-    cq, worst = is_cq(channel, tol)
-    if not cq:
+    duals, worst = _dual_images(channel)
+    if not worst <= tol:  # the verdict of is_cq
         return CqDiscreteResult(False, None, worst)
-    duals = [dual_apply(channel, e) for e in hermitian_basis(channel.dim_out)]
     rng = np.random.default_rng(seed)
     for _ in range(max(1, attempts)):
         coeffs = rng.standard_normal(len(duals))
         probe = sum(c * d for c, d in zip(coeffs, duals))
         _, u = hermitian_eig(probe)
-        off = 0.0
-        for d in duals:
-            rot = u.conj().T @ d @ u
-            off = max(off, float(np.abs(rot - np.diag(np.diagonal(rot))).max()))
+        rots = (u.conj().T @ d @ u for d in duals)
+        off = max(float(np.abs(rot - np.diag(np.diagonal(rot))).max()) for rot in rots)
         if off <= max(tol, 10 * worst + 1e-12):
             return CqDiscreteResult(True, u, worst)
     return CqDiscreteResult(False, None, worst)

@@ -71,12 +71,6 @@ def _indices(values, what: str) -> tuple[int, ...]:
     return tuple(int(v) for v in ints)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class CompositeLayout:
     """Ordered subsystem dimensions (and optional names) of a composite space."""
@@ -288,7 +282,7 @@ def sample_pure(dim: int, seed=0) -> PureVector:
     """Haar-random pure state from normalized complex Gaussian entries."""
     if not _is_integer(dim) or dim < 1:
         raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return PureVector(v, CompositeLayout((dim,)))
@@ -305,7 +299,7 @@ def sample_state(dim: int, rank: int | None = None, seed=0) -> np.ndarray:
     rank = dim if rank is None else rank
     if not _is_integer(rank) or not 1 <= rank <= dim:
         raise ValidationError(f"rank must be an integer in [1, {dim}], got {rank!r}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
@@ -320,7 +314,7 @@ def sample_isometry(d_in: int, d_out: int, seed=0) -> np.ndarray:
     """
     if not (_is_integer(d_in) and _is_integer(d_out) and 1 <= d_in <= d_out):
         raise ValidationError(f"need integers d_out >= d_in >= 1, got ({d_in!r}, {d_out!r})")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
@@ -332,6 +326,6 @@ def sample_hermitian(dim: int, seed=0, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-type)."""
     if not _is_integer(dim) or dim < 1:
         raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)

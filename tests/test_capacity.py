@@ -279,6 +279,52 @@ class TestFeasibleLinearMax:
             assert energy > con.bound + 1e-12 * max(1.0, con.bound)
 
 
+def random_oracle_problems():
+    """The non-commuting (g, constraint) pairs of the two random TestFeasibleLinearMax families."""
+    for trial in range(8):
+        f_raw = sample_hermitian(4, seed=100 + trial)
+        f = f_raw @ f_raw.conj().T / 4.0
+        yield sample_hermitian(4, seed=10 + trial), EnergyConstraint(f, float(np.linalg.eigvalsh(f).min()) + 0.3)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        g = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+        f_raw = sample_hermitian(d, seed=int(rng.integers(0, 2**31)))
+        f = f_raw @ f_raw.conj().T / d
+        yield g, EnergyConstraint(f, float(np.linalg.eigvalsh(f).min()) + float(rng.uniform(0.05, 1.0)))
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("stop", [1e-7, 1e-3])
+    def test_early_stop_is_sound_at_its_width(self, stop):
+        # weak duality: stopping early may loosen the bound by at most the width, never cut below the optimum
+        active = 0
+        for g, con in random_oracle_problems():
+            g = 0.5 * (g + g.conj().T)
+            full = feasible_linear_max(g, con)
+            scale = max(1.0, float(np.abs(np.linalg.eigvalsh(g)).max()))
+            active += full.multiplier > 0.0
+            for start in (0.0, 0.5 * full.multiplier, full.multiplier, 2.0 * full.multiplier):
+                res = capacity._linear_max(g, con, stop, start)
+                assert con.is_feasible(res.state, slack=1e-9)
+                assert abs(float(np.trace(res.state).real) - 1.0) <= 1e-9
+                assert 0.0 <= res.gap <= stop
+                assert res.value <= full.value + 1e-12 * scale
+                assert res.value + res.gap >= full.value - 1e-12 * scale
+        assert active >= 20  # the families mostly need the multiplier search
+
+    @pytest.mark.parametrize("cutoff, most", [(10, 100), (20, 44)])
+    def test_certified_attenuator_eigensolves(self, monkeypatch, cutoff, most):
+        # the certificate's oracle starts from the last multiplier and stops at 0.01 gap_tolerance
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: calls.append(a) or eigh(a, *args, **kwargs))
+        res = cea_capacity(fock_attenuator(0.6, cutoff), EnergyConstraint(number_operator(cutoff), 1.0))
+        monkeypatch.undo()
+        assert res.converged
+        assert len(calls) <= most
+
+
 class TestCeaCapacity:
     def test_identity_qubit_closed_form(self):
         con = EnergyConstraint(QUBIT_F, 0.25)
@@ -326,7 +372,7 @@ class TestCeaCapacity:
 
     @pytest.mark.parametrize(
         "cutoff, value, gap, iterations",
-        [(10, 2.317926773420586, 5.89527646610577e-06, 4), (20, 2.3187248737172466, 3.4621917492927423e-06, 2)],
+        [(10, 2.317926773420586, 5.895196710348216e-06, 4), (20, 2.3187248737172466, 3.462084411598454e-06, 2)],
     )
     def test_attenuator_result_is_pinned(self, cutoff, value, gap, iterations):
         # exact values, gap and iterations: sharing the Kraus product between the output and the environment
@@ -596,7 +642,7 @@ class TestGradientAudits:
             (capacity, "_output_and_environment"),
             (importlib.import_module("entrocap.entropy"), "_output_and_environment"),
             (capacity, "_gibbs_tilt"),
-            (capacity, "feasible_linear_max"),
+            (capacity, "_linear_max"),
             (capacity, "dual_environment"),
         ]:
             def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
@@ -607,8 +653,8 @@ class TestGradientAudits:
         n = 20
         res = cea_capacity(fock_attenuator(0.6, n), EnergyConstraint(number_operator(n), 1.0))
         assert res.converged
-        assert counts["_gibbs_tilt"] >= 1 and counts["feasible_linear_max"] == res.iterations
-        assert counts["dual_environment"] >= counts["feasible_linear_max"]  # a gradient per certificate, and per step
+        assert counts["_gibbs_tilt"] >= 1 and counts["_linear_max"] == res.iterations
+        assert counts["dual_environment"] >= counts["_linear_max"]  # a gradient per certificate, and per step
         assert counts["_output_and_environment"] <= counts["_gibbs_tilt"] + counts["dual_environment"]
 
 

@@ -39,6 +39,7 @@ from entrocap import (
     unitary_channel,
 )
 
+from entrocap import channels
 from entrocap.channels import CHANNEL_TOL, _operand, _output_and_environment, dual_environment
 from entrocap.gaussian import fock_attenuator, thermal_state
 from entrocap.linalg import hermitian_eig, sample_isometry
@@ -573,6 +574,15 @@ class TestCqDetection:
         res = is_cq_discrete(replacement_channel(sample_state(2, seed=82), dim_in=3))
         assert res.is_discrete
 
+    def test_discrete_detection_maps_each_basis_operator_once(self, monkeypatch):
+        # the commutator test and the basis search share one list of the d_out^2 dual images
+        calls = []
+        monkeypatch.setattr(channels, "dual_apply", lambda op, a: calls.append(a) or dual_apply(op, a))
+        chan = dephasing_channel(3)
+        res = is_cq_discrete(chan)
+        assert res.is_discrete and len(calls) == 9
+        assert is_cq(chan).max_commutator == res.max_commutator
+
 
 class TestRestrict:
     def test_full_space_restriction(self):
@@ -684,6 +694,14 @@ class TestWorkspace:
             assert all(np.array_equal(k, l) for k, l in zip(twin.kraus, att.kraus, strict=True))
             assert mutual_information(rho, twin) == value == mutual_information(rho, att)
             assert np.array_equal(apply(twin, rho), apply(att, rho))
+
+    def test_pickle_carries_the_kraus_data_once(self):
+        # the rows are views of the stack and the (B, E, A) copy is rebuilt on use: neither is pickled
+        att = fock_attenuator(0.6, 40)
+        before = len(pickle.dumps(att))
+        mutual_information(thermal_state(1.0, 40), att)
+        after = len(pickle.dumps(att))
+        assert max(before, after) < 1.2 * att.kraus_stack().nbytes
 
     @pytest.mark.parametrize("kernel", ["outputs", "apply", "dual_apply", "environment_output", "dual_environment"])
     def test_results_are_not_views_of_the_workspace(self, kernel):
