@@ -358,8 +358,8 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
 
     *Step.*  The iterate is kept as its log ``H = ln rho``, from the Gibbs state of F at the bound E
     (the maximum-entropy feasible state).  A step is ``rho+ ~ exp(H + eta ln2 grad I(rho) - beta F)``
-    (grad in bits) at the least beta >= 0 with ``Tr rho+ F <= E`` (:func:`_gibbs_tilt`).  A gradient costs one
-    Kraus product and one eigendecomposition per operator; at ``rho_eps`` they give the value too.
+    (grad in bits) at the least beta >= 0 with ``Tr rho+ F <= E`` (:func:`_gibbs_tilt`).  An evaluated state costs one
+    Kraus product and one eigendecomposition per operator: its value, and its gradient once accepted or at ``rho_eps``.
     *Ascent.*  Each entropy obeys ``S(X) = S(X0) + <grad S(X0), X - X0> - D(X || X0)``; the
     environment term has the favourable sign and ``D(Phi rho || Phi rho0) <= D(rho || rho0)``, so
     ``I(rho) >= I(rho0) + <grad I(rho0), rho - rho0> - 2 D(rho || rho0)`` (nats).  eta = 1/2 maximizes
@@ -395,7 +395,7 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
     d = channel.dim_in
     h = np.zeros((d, d), dtype=complex)
     rho, log_rho, eig = _gibbs_tilt(h, constraint)
-    start = (h, rho, log_rho, eig, mutual_information_value(channel, rho))
+    start = (h, rho, log_rho, eig, _mi_spectra(channel, rho, eig[0]))
     best_val, best_rho, upper, iterations, trace = _ascend(channel, constraint, opts, start, opts.max_iterations)
 
     gap = max(upper - best_val, 0.0)
@@ -424,23 +424,23 @@ def _dominated_tail(lagrangian, top: float, gap: float, p, u) -> int:
 
 def _face_start(channel: KrausChannel, constraint: EnergyConstraint, h, q):
     """The channel and constraint restricted to the face spanned by the columns of ``q``, and the start
-    ``(h, rho, ln rho, eigenpairs, I(rho))`` of :func:`_ascend` re-tilted from ``h = Q† H Q`` at E; None where no
-    face state is feasible."""
+    ``(h, rho, ln rho, eigenpairs, (I(rho), spectra))`` of :func:`_ascend` re-tilted from ``h = Q† H Q`` at E; None
+    where no face state is feasible."""
     try:
         face_con = EnergyConstraint(q.conj().T @ constraint.operator @ q, constraint.bound)
     except ValidationError:  # the face's least level lies above E
         return None
     face, h = restrict(channel, q), q.conj().T @ h @ q
     rho, log_rho, eig = _gibbs_tilt(h, face_con)
-    return face, face_con, (h, rho, log_rho, eig, mutual_information_value(face, rho))
+    return face, face_con, (h, rho, log_rho, eig, _mi_spectra(face, rho, eig[0]))
 
 
 def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: OptimizerOptions, start, budget: int):
     """:func:`cea_capacity`'s mirror ascent with face steps for at most ``budget`` iterations, from ``start = (h,
-    rho, ln rho, (p, u), I(rho))``: rho is the tilt of the log-iterate ``h``, with eigenpairs ``(p, u)``.  Returns
-    ``(value, state, upper bound, iterations, trace)``."""
+    rho, ln rho, (p, u), (I(rho), spectra))``: rho is the tilt of the log-iterate ``h``, with eigenpairs ``(p, u)``
+    and :func:`_mi_spectra`.  Returns ``(value, state, upper bound, iterations, trace)``."""
     d = channel.dim_in
-    h, rho, log_rho, (p, u), cur = start
+    h, rho, log_rho, (p, u), (cur, spectra) = start
     best_val, best_rho, upper, eta, trace, faces, last_k, lam = cur, rho, math.inf, 0.5, [], True, 0, 0.0
 
     def certificate(state):
@@ -464,18 +464,18 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
         k = faces and iterations < budget and _dominated_tail(
             grad - lam * constraint.operator, lin.value + lin.gap - lam * constraint.bound, upper - best_val, p, u
         )
-        step = LN2 * _mi_gradient_from(channel, log_rho / LN2, _mi_spectra(channel, rho, p)[1])  # nats, exact ln rho
+        step = LN2 * _mi_gradient_from(channel, log_rho / LN2, spectra)  # nats, exact ln rho
         eta = min(2.0 * eta, _MAX_STEP)
         while True:
             cand_h = log_rho + eta * step
             cand_rho, cand_log, cand_eig = _gibbs_tilt(cand_h, constraint)
-            cand = mutual_information_value(channel, cand_rho)
+            cand, cand_spectra = _mi_spectra(channel, cand_rho, cand_eig[0])
             if cand >= cur or eta <= 0.5:
                 break
             eta *= 0.5
         face = k and k == last_k and _face_start(channel, constraint, h, u[:, k:])  # the tail held for two iterates
         last_k = k
-        if face and face[2][-1] > max(best_val, cand):  # the face start's value
+        if face and face[2][-1][0] > max(best_val, cand):  # the face start's value
             face_chan, face_con, face_start = face
             value, state, _, used, records = _ascend(face_chan, face_con, opts, face_start, budget - iterations)
             iterations += used
@@ -483,10 +483,10 @@ def _ascend(channel: KrausChannel, constraint: EnergyConstraint, opts: Optimizer
             best_val, best_rho = value, 0.5 * (embedded + embedded.conj().T)
             upper = min(upper, certificate(best_rho)[0])
             if upper - best_val <= opts.gap_tolerance:
-                trace += [(face_start[-1], face_con.energy(face_start[1])), *records]
+                trace += [(face_start[-1][0], face_con.energy(face_start[1])), *records]
                 break
             faces = False
-        h, rho, log_rho, (p, u), cur = cand_h, cand_rho, cand_log, cand_eig, cand
+        h, rho, log_rho, (p, u), cur, spectra = cand_h, cand_rho, cand_log, cand_eig, cand, cand_spectra
         trace.append((cur, constraint.energy(rho)))
         if cur > best_val:
             best_val, best_rho = cur, rho
@@ -541,8 +541,9 @@ def _retilt(weights, energies, bound, rates):
     search, least = wc.sum(axis=-1) > 1e-12, np.where(w > 0.0, c, math.inf).min(axis=-1, keepdims=True)
     if (search & (least[:, 0] > 1e-12)).any():
         raise ValidationError("no re-tilt can restore feasibility")  # the tilt reaches the support's least energy
+    wc2 = np.where(search[:, None], wc, 0.0) * c  # w c^2 of the rows that search: far below a huge bound it overflows
     # measured from the support's least energy, the tilt keeps that member at exp(0) = 1, so z > 0 at every rate
-    above, moments = np.maximum(c - least, 0.0), np.array([w, wc, wc * c]).transpose(1, 2, 0)
+    above, moments = np.maximum(c - least, 0.0), np.array([w, wc, wc2]).transpose(1, 2, 0)
     roundings = 4.0 * np.finfo(float).eps * np.abs(f).max(axis=-1)
     p, beta = w.copy(), np.zeros(len(w))
     for r in np.flatnonzero(search).tolist():

@@ -85,6 +85,8 @@ _PARTS = {
     "gaussian": ("a gaussian spec", "kind"),
 }
 
+_NOT_FLAGS = ("command", "spec", "report")  # the parser's destinations that are no flag, nor a spec option
+
 # the commands whose restart count differs from OptimizerOptions'
 _RESTARTS = {"chi": 3, "prop1": 2, "coincidence": 2}
 
@@ -129,6 +131,9 @@ def run(command: str, spec_path: str | None, flags: dict) -> tuple[int, dict, st
         if spec_path is None:
             raise SpecFileError(f"command {command!r} needs a spec file")
         spec = load_spec(spec_path)
+        known = set(vars(_build_parser().parse_args(["suite"]))).difference(_NOT_FLAGS)  # the flags' names
+        if unknown := sorted(set(spec.options) - known):
+            raise SpecFileError("unknown option; known: " + ", ".join(sorted(known)), f"options.{unknown[0]}")
         defaults = {f.name: f.default for f in dataclasses.fields(OptimizerOptions)}
         defaults["restarts"] = _RESTARTS.get(command, defaults["restarts"])
         opts = OptimizerOptions(**{k: _flag(flags, spec, k, v, integer=isinstance(v, int)) for k, v in defaults.items()})
@@ -350,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "spec", "report")}
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS}
     try:
         code, report, human = run(args.command, args.spec, flags)
     except SpecFileError as exc:

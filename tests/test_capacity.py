@@ -657,6 +657,36 @@ class TestGradientAudits:
         assert counts["dual_environment"] >= counts["_linear_max"]  # a gradient per certificate, and per step
         assert counts["_output_and_environment"] <= counts["_gibbs_tilt"] + counts["dual_environment"]
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            (fock_attenuator(0.6, 10), EnergyConstraint(number_operator(10), 1.0)),
+            (fock_attenuator(0.6, 20), EnergyConstraint(number_operator(20), 1.0)),
+            (fock_attenuator(0.6, 40), EnergyConstraint(number_operator(40), 1.0)),
+            (minimize_kraus(truncate(CQ_QUTRIT, 2, basis_state(3, 0))), CQ_CONSTRAINT),  # takes the face step
+        ],
+        ids=["attenuator-10", "attenuator-20", "attenuator-40", "cq-truncation"],
+    )
+    def test_one_kraus_product_per_evaluated_state(self, monkeypatch, problem):
+        # every tilted state (the start, each candidate, a face start) and every certificate's rho_eps costs one
+        # product, which gives its value and, once needed, its gradient; forming an accepted candidate's outputs
+        # again for the step's gradient reads 13 products for 10 states at cutoff 10
+        counts = Counter()
+        for module, name, key in [
+            (capacity, "_output_and_environment", "products"),
+            (importlib.import_module("entrocap.entropy"), "_output_and_environment", "products"),
+            (capacity, "_gibbs_tilt", "tilts"),
+            (capacity, "_linear_max", "certificates"),
+        ]:
+            def counting(*args, _original=getattr(module, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        assert cea_capacity(*problem).converged
+        assert counts["tilts"] >= 1 and counts["certificates"] >= 1
+        assert counts["products"] == counts["tilts"] + counts["certificates"]
+
 
 class TestChiCapacity:
     def test_identity_qubit_constrained(self):
@@ -833,6 +863,17 @@ class TestChiCapacity:
         # the zero-weight member's energy is feasible, but no tilt can move weight onto it
         with pytest.raises(ValidationError, match="no re-tilt"):
             capacity._retilt(np.array([[0.0, 1.0]]), np.array([[0.0, 5.0]]), 1.0, np.zeros(1))
+
+    def test_huge_finite_bound_changes_nothing_and_warns_nothing(self):
+        # the re-tilt's second moments w c^2, c = f - E, overflowed for E above ~1.4e154 on rows that run no search
+        # (a RuntimeWarning, an error in this suite); every state is feasible at E = 1e308 as at F's top level
+        for chan, f in [(CQ_QUTRIT, np.diag([0.0, 1.0, 2.0])), (sample_channel(2, 2, 2, seed=0), QUBIT_F)]:
+            huge, top = EnergyConstraint(f, 1e308), EnergyConstraint(f, float(np.diag(f).max()))
+            chi = chi_capacity(chan, huge).value
+            assert chi == chi_capacity(chan, top).value
+            assert chan is not CQ_QUTRIT or abs(chi - math.log2(3)) <= 1e-9
+            assert check_prop1(chan, huge)["margin"] == check_prop1(chan, top)["margin"]
+            assert coincidence_certificate(chan, huge)["chi_value"] == coincidence_certificate(chan, top)["chi_value"]
 
     @staticmethod
     def bisected_tilt(weights, energies, bound):

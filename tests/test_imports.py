@@ -2,7 +2,8 @@
 function is referenced somewhere in the package outside its own body, no function truncates an
 integer argument with ``int()`` before checking that it is one, one function of ``capacity.py``
 forms a state's channel and environment outputs, so a certificate's value and gradient share one product,
-and a channel's workspace is only ever borrowed for a ``with`` block that puts it back.
+``capacity.py`` never calls the checked ``mutual_information_value``, so an accepted state's value and gradient
+share one product too, and a channel's workspace is only ever borrowed for a ``with`` block that puts it back.
 
 Uses only the standard library's ``ast``.  The import check skips ``__init__.py`` (its imports are the public
 re-exports) and any imported name on a line marked ``# noqa: F401``.
@@ -223,6 +224,52 @@ def test_capacity_evaluates_each_certificate_state_once():
     source = (PACKAGE / "capacity.py").read_text()
     assert f"def {EVALUATOR}(" in source
     assert repeated_evaluations(source) == []
+
+
+# the checked public evaluator, which keeps no eigenpairs: capacity.py evaluates every state by EVALUATOR instead
+CHECKED_EVALUATOR = "mutual_information_value"
+
+
+def checked_evaluations(source: str) -> list[str]:
+    """``function -> mutual_information_value`` for each call of :data:`CHECKED_EVALUATOR` (``<module>`` for a call
+    outside any function): a value from it discards the eigenpairs that the state's gradient needs."""
+    tree = ast.parse(source)
+    scopes = [("<module>", tree), *((f.name, f) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef))]
+    calls = [(name, call) for name, scope in scopes for call in own_calls(scope)]
+    return sorted(f"{name} -> {call}" for name, call in calls if call == CHECKED_EVALUATOR)
+
+
+def test_detector_flags_a_checked_evaluation():
+    # the earlier start, face start and candidate, each valued by the checked evaluator; then the public
+    # function itself, which is allowed, and the accepted candidate
+    source = """
+def mutual_information_value(channel, rho):
+    return mutual_information(rho, channel, route="entropies")
+
+def cea_capacity(channel, constraint, opts=None):
+    start = (h, rho, log_rho, eig, mutual_information_value(channel, rho))
+
+def _face_start(channel, constraint, h, q):
+    return face, face_con, (h, rho, log_rho, eig, mutual_information_value(face, rho))
+
+def _ascend(channel, constraint, opts, start, budget):
+    while iterations < budget:
+        cand = mutual_information_value(channel, cand_rho)
+
+def _ascend_fused(channel, constraint, opts, start, budget):
+    cand, cand_spectra = _mi_spectra(channel, cand_rho, cand_eig[0])
+"""
+    assert checked_evaluations(source) == [
+        "_ascend -> mutual_information_value",
+        "_face_start -> mutual_information_value",
+        "cea_capacity -> mutual_information_value",
+    ]
+
+
+def test_capacity_never_calls_the_checked_evaluator():
+    source = (PACKAGE / "capacity.py").read_text()
+    assert f"def {CHECKED_EVALUATOR}(" in source
+    assert checked_evaluations(source) == []
 
 
 # a channel's workspace: the key it is kept under in the channel's __dict__, the helper that lends it for a

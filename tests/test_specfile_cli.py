@@ -287,6 +287,25 @@ class TestCliCommands:
         assert main(["truncation", write_spec(tmp_path, doc)]) == 2
         assert "options.ranks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gap_tolerence", "Seed", "report", "command"])
+    def test_exit_code_unknown_option(self, tmp_path, capsys, key):
+        # a misspelt key used to run at the default and exit 0
+        _, doc = doc_with_option("gap_tolerance", 1e-9)
+        doc["options"][key] = 1e-9
+        assert main(["cea", write_spec(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: options.{key}: unknown option; known: cutoff, epsilon,")
+        assert "Traceback" not in err
+
+    def test_every_parser_flag_is_an_option(self, tmp_path):
+        with open(f"{SPECS}/identity_qubit.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["options"] = {
+            "seed": 4, "gap_tolerance": 1e-6, "restarts": 2, "max_iterations": 7, "epsilon": 1e-8,
+            "members": 3, "cutoff": 5, "mean_photons": 0.5, "ranks": "1,2",
+        }
+        assert main(["validate", write_spec(tmp_path, doc)]) == 0
+
     def test_missing_command_spec(self):
         with pytest.raises(SpecFileError):
             run("cea", None, {})
