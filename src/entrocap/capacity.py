@@ -36,7 +36,7 @@ from .channels import (
     truncate,
 )
 from .entropy import Ensemble, _member_terms, _rowdot, _spectrum_entropy, chi_through, mutual_information
-from .errors import ResourceLimitError, ValidationError
+from .errors import _DENSE_ENTRIES, ResourceLimitError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
     LN2,
@@ -76,6 +76,9 @@ _MAX_STEP = 64.0
 
 # A chi restart stops once its best value gains at most 1e-12 over this many iterations.
 _CHI_STALL_STEPS = 20
+
+# F's top level above which the solvers rescale (F, E): squared energies overflow from about 1.3e154.
+_HUGE_LEVEL = 2.0**400
 
 
 def _is_real(v) -> bool:
@@ -121,8 +124,9 @@ def constraint_tensor(constraint: EnergyConstraint, n: int) -> EnergyConstraint:
     """n-copy constraint (F(x)I...I + ... + I...I(x)F, n*E)."""
     if not _is_integer(n) or n < 1:
         raise ValidationError(f"copy count must be an integer >= 1, got {n!r}")
-    n = int(n)
-    d = constraint.dim
+    n, d = int(n), constraint.dim
+    if d ** (2 * min(n, 24)) > _DENSE_ENTRIES:  # exact, and past 24 copies any d >= 2 is over the limit anyway
+        raise ResourceLimitError(f"{n} copies of a {d}-level constraint need {d}**{2 * n} dense entries, over the limit")
     total = np.zeros((d**n, d**n), dtype=complex)
     for j in range(n):
         factors = [np.eye(d, dtype=complex)] * n
@@ -299,6 +303,16 @@ def _linear_max(g, constraint: EnergyConstraint, stop: float, start: float) -> L
     return LinearMaxResult(sigma, value, max(top_hi + lam_hi * e - value, 0.0), lam_hi)
 
 
+def _rescaled(constraint: EnergyConstraint):
+    """``(constraint, s)`` with F and E times a power of two s that brings F's top level below 1 where it exceeds
+    ``_HUGE_LEVEL``, else the constraint itself and s = 1.  C_ea and chi are invariant under (F, E) -> (sF, sE)."""
+    top = float(constraint._eigenpairs[0][-1])
+    if top <= _HUGE_LEVEL:
+        return constraint, 1.0
+    s = math.ldexp(1.0, -math.frexp(top)[1])
+    return EnergyConstraint(constraint.operator * s, constraint.bound * s), s
+
+
 def _maybe_prune(channel: QuantumOperation) -> QuantumOperation:
     if channel.env_dim > channel.dim_in * channel.dim_out:
         return minimize_kraus(channel)
@@ -390,7 +404,7 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
         raise ValidationError("capacity optimization requires a trace-preserving channel")
     if channel.dim_in != constraint.dim:
         raise ValidationError("constraint dimension does not match channel input")
-    channel = _maybe_prune(channel)
+    channel, (constraint, scale) = _maybe_prune(channel), _rescaled(constraint)
     t0 = time.perf_counter()
     d = channel.dim_in
     h = np.zeros((d, d), dtype=complex)
@@ -409,7 +423,7 @@ def cea_capacity(channel: KrausChannel, constraint: EnergyConstraint, opts: Opti
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
         converged=gap <= opts.gap_tolerance,
-        trace=tuple(trace),
+        trace=tuple((value, energy / scale) for value, energy in trace),
     )
 
 
@@ -642,7 +656,7 @@ def chi_capacity(
     opts = opts or OptimizerOptions(restarts=3, max_iterations=160)
     if channel.dim_in != constraint.dim:
         raise ValidationError("constraint dimension does not match channel input")
-    channel = _maybe_prune(channel)
+    channel, (constraint, _) = _maybe_prune(channel), _rescaled(constraint)
     kraus, f_op, bound = channel.kraus_stack(), constraint.operator, constraint.bound
     d = channel.dim_in
     m = d * d if members is None else members

@@ -7,3 +7,6 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds the supported problem size."""
+
+
+_DENSE_ENTRIES = 2**24  # entries a dense array built from a size parameter may have (Fock cutoffs, copy counts)

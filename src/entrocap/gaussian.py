@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import ResourceLimitError, ValidationError
+from .errors import _DENSE_ENTRIES, ResourceLimitError, ValidationError
 from .linalg import _is_integer
 
 __all__ = [
@@ -220,7 +220,7 @@ def mean_photon_entropy(n: float) -> float:
     return float((n + 1.0) * math.log2(n + 1.0) - n * math.log2(n))
 
 
-_FOCK_ENTRIES = 2**24  # dense entries one Fock builder may allocate: cutoff <= 255 (attenuator), <= 4095 (state)
+_FOCK_ENTRIES = _DENSE_ENTRIES  # one dense Fock array: cutoff <= 255 (attenuator), <= 4095 (state)
 
 
 def _fock_dim(cutoff, least: int, power: int) -> int:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -114,6 +115,19 @@ class TestEnergyConstraint:
         # 2.5 built two copies with bound 2E, and True one copy, without an error
         with pytest.raises(ValidationError, match="copy count must be an integer >= 1"):
             constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), n)
+
+    @pytest.mark.parametrize("n", [13, 40])
+    def test_constraint_tensor_refuses_a_dense_blow_up(self, n):
+        # 13 qubit copies built a 2^13 x 2^13 complex operator (~1 GB) before failing; 40 raised numpy's bare
+        # "array is too big"; the limit is the one on dense Fock arrays, 2^24 entries
+        with pytest.raises(ResourceLimitError, match=f"need 2\\*\\*{2 * n} dense entries"):
+            constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), n)
+
+    def test_constraint_tensor_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_DENSE_ENTRIES", 4**3)  # a small limit: nothing large is built
+        assert constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), 3).dim == 8
+        with pytest.raises(ResourceLimitError):
+            constraint_tensor(EnergyConstraint(QUBIT_F, 0.3), 4)
 
     def test_energy_additive_on_products(self):
         rho = sample_state(2, seed=1)
@@ -1273,3 +1287,26 @@ class TestAdditivityProbe:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             additivity_probe(identity_channel(7), EnergyConstraint(np.eye(7), 1.0))
+
+
+class TestHugeEnergyLevels:
+    """Levels near 1e160 squared to inf: chi raised a bare OverflowError and cea warned.  Both solvers now scale
+    (F, E) by a power of two first; C_ea and chi are invariant under (F, E) -> (sF, sE)."""
+
+    CHANNEL = sample_channel(2, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("level, bound", [(1e160, 3e159), (1e200, 3e199)])
+    def test_scaled_problem_matches_the_unit_one(self, level, bound):
+        unit, huge = EnergyConstraint(QUBIT_F, 0.3), EnergyConstraint(QUBIT_F * level, bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cea, chi = cea_capacity(self.CHANNEL, huge), chi_capacity(self.CHANNEL, huge)
+        ref_cea, ref_chi = cea_capacity(self.CHANNEL, unit), chi_capacity(self.CHANNEL, unit)
+        assert cea.value <= ref_cea.value + ref_cea.gap and ref_cea.value <= cea.value + cea.gap
+        assert abs(chi.value - ref_chi.value) <= 1e-6
+        energies = [energy for _, energy in cea.trace]  # in F's own units
+        assert 0.5 * huge.bound <= max(energies) <= huge.bound * (1.0 + 1e-9)
+
+    def test_ordinary_levels_are_not_rescaled(self):
+        con = EnergyConstraint(QUBIT_F * 1e100, 3e99)
+        assert capacity._rescaled(con) == (con, 1.0)

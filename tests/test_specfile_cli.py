@@ -142,6 +142,14 @@ class TestCliCommands:
         target = 2.0 * (-(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)))
         assert res["value_bits"] - 1e-9 <= target <= res["upper_bound_bits"] + 1e-9
 
+    def test_chi_on_huge_energy_levels(self, tmp_path):
+        # squared levels overflowed: a bare OverflowError and a traceback instead of an exit code
+        doc = doc_with_number("E", 2.5e159)
+        doc["constraint"]["F"] = encode_complex_matrix(np.diag([0.0, 1e160]))
+        code, report, _ = run("chi", write_spec(tmp_path, doc), {})
+        assert code == 0
+        assert abs(report["results"]["value_bits"] - 0.811278124459132) <= 1e-9  # h(1/4), as at F = diag(0, 1)
+
     def test_gaussian_classify(self):
         code, report, _ = run("gaussian-classify", f"{SPECS}/gaussian_attenuator.json", {})
         assert code == 0
